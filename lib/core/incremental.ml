@@ -21,15 +21,20 @@ open Grapho
 
    So every possibly-broken g'-edge is incident to a "seed" — an
    endpoint of some deleted or inserted edge — and a sweep of the
-   g'-edges incident to seeds, probing each against S''s CSR, finds
-   exactly the uncovered edges. The dirty ball D is then the broken
+   g'-edges incident to seeds, probing each against S' (read off S's
+   CSR by [covered]), finds exactly the uncovered edges. The dirty ball D is then the broken
    edges' endpoints plus all their common g'-neighbors (the 2-path
    midpoints a repair could use); re-running the protocol on g'[D]
    yields a 2-spanner R of g'[D], and since every broken edge has
    both endpoints in D it is an edge of g'[D], hence covered by R.
    S'' = S' ∪ R therefore covers every g'-edge: unbroken ones keep
    their S' certificate (coverage is monotone in the edge set),
-   broken ones get one from R. *)
+   broken ones get one from R.
+
+   S lives as a CSR. Since S ⊆ g, S' = S minus the deleted edges, so a
+   tick's whole change to it is one diff — the deleted S-edges plus
+   the R-edges outside S — spliced into the CSR once and applied to
+   the set view edge by edge. *)
 
 type tick_stats = {
   tick : int;
@@ -47,9 +52,10 @@ type tick_stats = {
 type t = {
   seed : int;
   mutable graph : Ugraph.t;
-  mutable spanner : Edge.Set.t;
+  mutable scsr : Ugraph.t;  (* the spanner as its own CSR *)
+  mutable spanner : Edge.Set.t;  (* the same edges, as a set *)
   mutable tick : int;
-  builder : Ugraph.Builder.builder;
+  sdelta : Ugraph.Delta.t;  (* this tick's spanner diff *)
   mark : Bytes.t;  (* bit 0: seed this tick, bit 1: in the dirty ball *)
   seed_buf : Bigcsr.buf;
   dirty_buf : Bigcsr.buf;
@@ -59,10 +65,10 @@ let create ?(seed = 0x2D5F1) ~spanner g =
   {
     seed;
     graph = g;
+    scsr = Spanner_check.spanner_csr ~n:(Ugraph.n g) spanner;
     spanner;
     tick = 0;
-    builder = Ugraph.Builder.create ~expected_edges:(Ugraph.m g)
-        ~n:(Ugraph.n g) ();
+    sdelta = Ugraph.Delta.create ();
     mark = Bytes.make (Ugraph.n g) '\000';
     seed_buf = Bigcsr.buf_create 64;
     dirty_buf = Bigcsr.buf_create 64;
@@ -74,8 +80,9 @@ let bootstrap ?(seed = 0x2D5F1) ?sched ?par ?trace g =
 
 let graph t = t.graph
 let spanner t = t.spanner
+let spanner_csr t = t.scsr
 let tick t = t.tick
-let valid t = Spanner_check.is_2_spanner_fast t.graph t.spanner
+let valid t = Spanner_check.is_2_spanner_csr t.graph t.scsr
 
 (* Repair seeds drift per tick so consecutive dirty-ball runs do not
    reuse vote streams; same SplitMix-style decorrelation as
@@ -84,13 +91,39 @@ let tick_seed t tick = t.seed lxor (tick * 0x85EBCA77) lxor 0x165667B1
 
 let buf_get (b : Bigcsr.buf) i = Bigarray.Array1.get b.data i
 
+exception Witness
+
+(* Stretch-2 certificate of the g'-edge (u, v) against the surviving
+   spanner S' = S ∩ g', read off S's own CSR: (u, v) itself is never a
+   deleted edge (a delta may not delete and insert one edge), so S
+   membership is S' membership; a midpoint w counts only if both its
+   S-edges survived into g'. *)
+let covered ~scsr g' u v =
+  Ugraph.mem_edge scsr u v
+  ||
+  match
+    Ugraph.iter_common_neighbors
+      (fun w ->
+        if Ugraph.mem_edge g' u w && Ugraph.mem_edge g' w v then
+          raise_notrace Witness)
+      scsr u v
+  with
+  | () -> false
+  | exception Witness -> true
+
 let apply ?sched ?par ?adversary ?retry ?trace t d =
   let deleted = Ugraph.Delta.deletes d
   and inserted = Ugraph.Delta.inserts d in
   (* A rejected delta raises here, before any state mutates. *)
-  let g' = Ugraph.apply_delta ~builder:t.builder t.graph d in
-  let n = Ugraph.n g' in
-  let s' = Resilience.surviving_edges t.spanner ~graph:g' in
+  let g' = Ugraph.apply_delta t.graph d in
+  let scsr = t.scsr and sd = t.sdelta in
+  (* The spanner diff starts as the deleted edges that were spanner
+     edges; S minus them is S ∩ g'. *)
+  Ugraph.Delta.reset sd;
+  Ugraph.Delta.iter_deletes
+    (fun u v ->
+      if Ugraph.mem_edge scsr u v then Ugraph.Delta.add_delete sd u v)
+    d;
   let mark = t.mark in
   let is_seed v = Char.code (Bytes.unsafe_get mark v) land 1 <> 0 in
   let set_seed v =
@@ -112,7 +145,6 @@ let apply ?sched ?par ?adversary ?retry ?trace t d =
   let seeds = t.seed_buf.len in
   (* Candidate sweep: every g'-edge incident to a seed, each probed
      once (a seed-seed edge is charged to its larger endpoint). *)
-  let scsr = Spanner_check.spanner_csr ~n s' in
   let candidates = ref 0 and broken = ref 0 in
   for i = 0 to seeds - 1 do
     let u = buf_get t.seed_buf i in
@@ -120,8 +152,7 @@ let apply ?sched ?par ?adversary ?retry ?trace t d =
       (fun v ->
         if not (is_seed v && v < u) then begin
           incr candidates;
-          if not (Spanner_check.covers_edge_2 ~spanner_csr:scsr u v)
-          then begin
+          if not (covered ~scsr g' u v) then begin
             incr broken;
             set_dirty u;
             set_dirty v;
@@ -132,21 +163,24 @@ let apply ?sched ?par ?adversary ?retry ?trace t d =
   done;
   let dirty = t.dirty_buf.len in
   let repair_rounds = ref 0 and repair_iterations = ref 0 in
-  let repaired =
-    if !broken = 0 then s'
-    else begin
-      Bigcsr.sort_range t.dirty_buf.data 0 dirty;
-      let active = Array.init dirty (fun i -> buf_get t.dirty_buf i) in
-      let r =
-        Two_spanner_local.run
-          ~seed:(tick_seed t (t.tick + 1))
-          ?sched ?par ?adversary ?retry ?trace ~active g'
-      in
-      repair_rounds := r.metrics.rounds;
-      repair_iterations := r.iterations;
-      Edge.Set.union s' r.spanner
-    end
-  in
+  if !broken > 0 then begin
+    Bigcsr.sort_range t.dirty_buf.data 0 dirty;
+    let active = Array.init dirty (fun i -> buf_get t.dirty_buf i) in
+    let r =
+      Two_spanner_local.run
+        ~seed:(tick_seed t (t.tick + 1))
+        ?sched ?par ?adversary ?retry ?trace ~active g'
+    in
+    repair_rounds := r.metrics.rounds;
+    repair_iterations := r.iterations;
+    (* The repair's edges are g'-edges, so those already in S are in
+       S' too; the rest complete the diff. *)
+    Edge.Set.iter
+      (fun e ->
+        let u, v = Edge.endpoints e in
+        if not (Ugraph.mem_edge scsr u v) then Ugraph.Delta.add_insert sd u v)
+      r.spanner
+  end;
   for i = 0 to t.seed_buf.len - 1 do
     Bytes.unsafe_set mark (buf_get t.seed_buf i) '\000'
   done;
@@ -155,8 +189,18 @@ let apply ?sched ?par ?adversary ?retry ?trace t d =
   done;
   Bigcsr.buf_reset t.seed_buf;
   Bigcsr.buf_reset t.dirty_buf;
+  (* S'' = (S ∩ g') ∪ R, spliced into the CSR and the set alike. *)
+  let scsr' = Ugraph.apply_delta scsr sd in
+  let s = ref t.spanner in
+  Ugraph.Delta.iter_deletes
+    (fun u v -> s := Edge.Set.remove (Edge.make u v) !s)
+    sd;
+  Ugraph.Delta.iter_inserts
+    (fun u v -> s := Edge.Set.add (Edge.make u v) !s)
+    sd;
   t.graph <- g';
-  t.spanner <- repaired;
+  t.scsr <- scsr';
+  t.spanner <- !s;
   t.tick <- t.tick + 1;
   {
     tick = t.tick;
@@ -168,7 +212,7 @@ let apply ?sched ?par ?adversary ?retry ?trace t d =
     dirty;
     repair_rounds = !repair_rounds;
     repair_iterations = !repair_iterations;
-    spanner_size = Edge.Set.cardinal repaired;
+    spanner_size = Ugraph.m scsr';
   }
 
 (* ------------------------------------------------------------------ *)

@@ -5,20 +5,25 @@
     protocol only on the {e dirty ball} around the update instead of
     the whole graph:
 
-    + the delta is applied ({!Grapho.Ugraph.apply_delta}, through a
-      reused streaming builder) and the spanner restricted to its
-      surviving edges ({!Resilience.surviving_edges});
-    + a certificate sweep probes every surviving-graph edge incident
-      to an update endpoint against the surviving spanner's CSR
-      ({!Spanner_check.covers_edge_2}). A locality lemma (proved in
-      the implementation header) shows these are the only edges whose
-      stretch-2 certificate can have broken, so the sweep is exact —
-      clean regions are pruned without being visited;
+    + the delta is spliced into the graph's CSR
+      ({!Grapho.Ugraph.apply_delta}: untouched rows copied, touched
+      rows merged with their sorted changes);
+    + a certificate sweep probes every updated-graph edge incident to
+      an update endpoint against the surviving spanner — the
+      maintained spanner CSR with its deleted edges filtered out on
+      the fly. A locality lemma (proved in the implementation header)
+      shows these are the only edges whose stretch-2 certificate can
+      have broken, so the sweep is exact — clean regions are pruned
+      without being visited;
     + the dirty ball [D] — broken edges' endpoints plus all their
       common surviving-graph neighbors — is repaired by
-      {!Two_spanner_local.run}[ ~active:D] on the induced subgraph,
-      and the repair unioned into the surviving spanner. Coverage is
-      monotone in the edge set, so the union stays valid everywhere.
+      {!Two_spanner_local.run}[ ~active:D] on the induced subgraph.
+      Coverage is monotone in the edge set, so the surviving spanner
+      plus the repair stays valid everywhere;
+    + the tick's spanner diff — the deleted edges that were spanner
+      edges, plus the repair edges not already present — is spliced
+      into the spanner CSR once and applied to the {!spanner} set
+      view with [O(|diff| log |S|)] removes and adds.
 
     The repaired spanner is generally {e not} the spanner a full
     recompute would produce (the protocol sees a different
@@ -33,10 +38,10 @@
 open Grapho
 
 type t
-(** Mutable repair state: current graph, current spanner, tick
-    counter, plus reused off-heap workspaces (delta-application
-    builder, mark bytes, seed/dirty vertex buffers) so steady-state
-    ticks do not grow the heap. *)
+(** Mutable repair state: current graph, current spanner (as a CSR
+    and as a set), tick counter, plus reused workspaces (the spanner
+    diff's delta, mark bytes, seed/dirty vertex buffers) so
+    steady-state ticks do not grow the heap. *)
 
 type tick_stats = {
   tick : int;  (** 1-based tick this record describes *)
@@ -96,14 +101,19 @@ val graph : t -> Ugraph.t
 (** The current (post-latest-tick) graph. *)
 
 val spanner : t -> Edge.Set.t
-(** The maintained spanner of {!graph}. *)
+(** The maintained spanner of {!graph}, O(1). *)
+
+val spanner_csr : t -> Ugraph.t
+(** The same spanner as its own CSR graph on {!graph}'s vertex set,
+    O(1) — the index the daemon's QUERY BFS and {!valid} read. *)
 
 val tick : t -> int
 (** Ticks applied so far. *)
 
 val valid : t -> bool
-(** [Spanner_check.is_2_spanner_fast (graph t) (spanner t)] — the
-    per-tick verdict the churn bench records. *)
+(** [Spanner_check.is_2_spanner_csr (graph t) (spanner_csr t)] — a
+    full, independent O(n + m) verdict, the per-tick check the churn
+    bench and the daemon record. *)
 
 val churn : rng:Rng.t -> replace:int -> Ugraph.t -> Ugraph.Delta.t -> unit
 (** [churn ~rng ~replace g d] resets [d] and fills it with [replace]

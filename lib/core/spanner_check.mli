@@ -38,12 +38,19 @@ val covers_edge_2 : spanner_csr:Ugraph.t -> int -> int -> bool
     10^5/10^6 churn anchors where the BFS checker's O(n) scratch per
     edge is infeasible. *)
 
+val is_2_spanner_csr : Ugraph.t -> Ugraph.t -> bool
+(** [is_2_spanner_csr g sg]: is the candidate CSR [sg] a 2-spanner of
+    [g]? Equivalent to [is_spanner g s ~k:2] for [sg = spanner_csr s],
+    including the subset check: an [sg] edge outside [g] (or a vertex
+    count mismatch) raises [Invalid_argument]. One row merge per
+    vertex ({!Grapho.Ugraph.iter_edges_outside}) proves [sg ⊆ g] and
+    skips the spanner's own edges; each remaining edge pays one
+    common-neighbour probe in [sg]. O(n + m + Σ merge),
+    allocation-free. The churn path's every-tick verdict. *)
+
 val is_2_spanner_fast : Ugraph.t -> Edge.Set.t -> bool
-(** Equivalent to [is_spanner g s ~k:2] (including the subset check),
-    via one {!spanner_csr} build plus one {!covers_edge_2} probe per
-    graph edge: O(n + m_s + Σ_e merge) total instead of O(m n). The
-    equivalence is pinned by the test suite; the churn bench runs
-    this as its every-tick validity verdict. *)
+(** [is_2_spanner_csr g (spanner_csr ~n:(Ugraph.n g) s)]. The
+    equivalence with [is_spanner ~k:2] is pinned by the test suite. *)
 
 type query
 (** Reusable BFS scratch for {!query_path} — stamp/parent/queue

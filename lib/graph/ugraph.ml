@@ -38,16 +38,6 @@ module Builder = struct
       finished = false;
     }
 
-  (* Rewind for another build: the grown endpoint buffers stay, so a
-     churn loop that rebuilds a graph every tick allocates off-heap
-     storage only until the buffers reach steady-state capacity. *)
-  let reset b ~n =
-    if n < 0 then invalid_arg "Ugraph.Builder.reset: negative n";
-    b.bn <- n;
-    Bigcsr.buf_reset b.us;
-    Bigcsr.buf_reset b.vs;
-    b.finished <- false
-
   let add_edge b u v =
     if b.finished then invalid_arg "Ugraph.Builder: already finished";
     validate_vertex b.bn u;
@@ -129,9 +119,9 @@ end
 module Delta = struct
   (* A batched edge update: canonicalized (u < v) endpoint pairs in
      four off-heap buffers plus two reusable key workspaces for
-     [apply_delta]'s sorted-merge. The record is a mutable
-     accumulator; [reset] rewinds it for the next tick without
-     touching the allocator, mirroring [Builder.reset]. *)
+     [apply_delta]'s validation and row splice. The record is a
+     mutable accumulator; [reset] rewinds it for the next tick without
+     touching the allocator. *)
   type t = {
     ins_u : Bigcsr.buf;
     ins_v : Bigcsr.buf;
@@ -208,16 +198,6 @@ let delta_sorted_keys ~what ~n us vs (dst : Bigcsr.buf) =
         (Printf.sprintf "Ugraph.apply_delta: duplicate %s (%d, %d)" what
            (key / n) (key mod n))
   done
-
-let sorted_keys_mem (b : Bigcsr.buf) key =
-  let lo = ref 0 and hi = ref b.Bigcsr.len in
-  let found = ref false in
-  while (not !found) && !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    let k = Bigarray.Array1.unsafe_get b.Bigcsr.data mid in
-    if k = key then found := true else if k < key then lo := mid + 1 else hi := mid
-  done;
-  !found
 
 let of_edge_iter ?expected_edges ~n iter =
   let b = Builder.create ?expected_edges ~n () in
@@ -386,6 +366,36 @@ let iter_common_neighbors f g u v =
     else incr j
   done
 
+(* One merge per row: [sub]'s row of [u] must be a subsequence of
+   [g]'s (a [sub] neighbour the merge steps past is missing from [g]),
+   and every [g]-neighbour [v > u] the merge does not meet in [sub]'s
+   row is reported. *)
+let iter_edges_outside f g ~sub =
+  if sub.n <> g.n then
+    invalid_arg "Ugraph.iter_edges_outside: vertex counts differ";
+  let outside u w =
+    invalid_arg
+      (Printf.sprintf "Ugraph.iter_edges_outside: edge (%d, %d) not in graph"
+         u w)
+  in
+  for u = 0 to g.n - 1 do
+    let j = ref (Bigarray.Array1.unsafe_get sub.row_ptr u)
+    and jhi = Bigarray.Array1.unsafe_get sub.row_ptr (u + 1) in
+    for i =
+      Bigarray.Array1.unsafe_get g.row_ptr u
+      to Bigarray.Array1.unsafe_get g.row_ptr (u + 1) - 1
+    do
+      let v = Bigarray.Array1.unsafe_get g.col i in
+      let w =
+        if !j < jhi then Bigarray.Array1.unsafe_get sub.col !j else max_int
+      in
+      if w < v then outside u w
+      else if w = v then incr j
+      else if u < v then f u v
+    done;
+    if !j < jhi then outside u (Bigarray.Array1.unsafe_get sub.col !j)
+  done
+
 (* Does [dsts.(lo .. hi-1)] spell out exactly [u]'s neighbor row?
    Allocation-free; used to recognize full-neighborhood broadcasts
    from an outbox segment without touching per-edge state. *)
@@ -444,15 +454,34 @@ let iter_vertices f g =
     f u
   done
 
-(* Merge-rebuild: stream every surviving edge of [g] plus the inserts
-   through the Builder. The cost is one full build — O(n + m) — which
-   sounds heavy next to pointer-surgery dynamic adjacency, but the CSR
-   build is a linear scatter over off-heap buffers (~1 s at n = 10^6),
-   the result keeps every O(1)/O(log deg) access guarantee the
-   algorithms rely on, and with [?builder] (a [Builder.reset] reuse
-   path) plus the Delta's own scratch, a churn tick allocates nothing
-   beyond the result graph itself. *)
-let apply_delta ?builder g (d : Delta.t) =
+(* [keys] holds the sorted canonical keys [u * n + v] (u < v) of one
+   side of a validated delta; rewrite it in place as the sorted
+   directed keys of both orientations, so each row's changes form one
+   ascending run: [u]'s run is the keys in [u * n, u * n + n). *)
+let direct_keys ~n (keys : Bigcsr.buf) =
+  let len = keys.Bigcsr.len in
+  for i = 0 to len - 1 do
+    let k = Bigarray.Array1.unsafe_get keys.Bigcsr.data i in
+    Bigcsr.buf_push keys ((k mod n * n) + (k / n))
+  done;
+  Bigcsr.sort_range keys.Bigcsr.data 0 keys.Bigcsr.len
+
+(* The neighbour named by directed key [keys.(i)] if that key lies in
+   the row [base, row_end), else [max_int]. *)
+let run_head keys len i ~base ~row_end =
+  if i < len then
+    let key = Bigarray.Array1.unsafe_get keys i in
+    if key < row_end then key - base else max_int
+  else max_int
+
+(* Row splice: one pass over the rows, copying each untouched row as
+   it is and, in a touched row, dropping the deleted neighbours while
+   merging the inserted ones in — O(n + m + |d| log |d|), with the
+   per-row change runs read off the Delta's sorted directed keys. The
+   result is the canonical CSR a from-scratch build of the edited edge
+   list would produce. Every check runs before the first write, so a
+   rejected delta leaves no partial state. *)
+let apply_delta g (d : Delta.t) =
   let n = g.n in
   (* Sorted key workspaces double as the validation pass: duplicate
      inserts and duplicate deletes raise there. *)
@@ -489,22 +518,64 @@ let apply_delta ?builder g (d : Delta.t) =
           (Printf.sprintf
              "Ugraph.apply_delta: inserted edge (%d, %d) already present" u v))
     d;
-  let b =
-    match builder with
-    | Some b ->
-        Builder.reset b ~n;
-        b
-    | None ->
-        Builder.create
-          ~expected_edges:(g.m - Delta.deletes d + Delta.inserts d)
-          ~n ()
-  in
-  iter_edges_uv
-    (fun u v ->
-      if not (sorted_keys_mem dk ((u * n) + v)) then Builder.add_edge b u v)
-    g;
-  Delta.iter_inserts (fun u v -> Builder.add_edge b u v) d;
-  Builder.finish b
+  direct_keys ~n dk;
+  direct_keys ~n ik;
+  let m' = g.m - Delta.deletes d + Delta.inserts d in
+  let row_ptr = Bigcsr.create (n + 1) and col = Bigcsr.create (2 * m') in
+  let src = g.col and dks = dk.Bigcsr.data and iks = ik.Bigcsr.data in
+  let dlen = dk.Bigcsr.len and ilen = ik.Bigcsr.len in
+  (* [di]/[ii] index the next unconsumed directed delete/insert key;
+     [w] is the write cursor. No closure is built per row, so the
+     splice's OCaml-heap cost is O(1) words whatever the graph size. *)
+  let di = ref 0 and ii = ref 0 and w = ref 0 in
+  for u = 0 to n - 1 do
+    Bigarray.Array1.unsafe_set row_ptr u !w;
+    let lo = Bigarray.Array1.unsafe_get g.row_ptr u
+    and hi = Bigarray.Array1.unsafe_get g.row_ptr (u + 1) in
+    let base = u * n in
+    let row_end = base + n in
+    let touched =
+      (!di < dlen && Bigarray.Array1.unsafe_get dks !di < row_end)
+      || (!ii < ilen && Bigarray.Array1.unsafe_get iks !ii < row_end)
+    in
+    if not touched then begin
+      for k = lo to hi - 1 do
+        Bigarray.Array1.unsafe_set col (!w + k - lo)
+          (Bigarray.Array1.unsafe_get src k)
+      done;
+      w := !w + hi - lo
+    end
+    else begin
+      (* Deleted neighbours are present in the row and inserted ones
+         absent, so the three sorted runs merge without ties. *)
+      let k = ref lo in
+      let b = ref (run_head iks ilen !ii ~base ~row_end) in
+      while !k < hi || !b < max_int do
+        let a =
+          if !k < hi then Bigarray.Array1.unsafe_get src !k else max_int
+        in
+        if a < !b then begin
+          if
+            !di < dlen && Bigarray.Array1.unsafe_get dks !di = base + a
+          then incr di
+          else begin
+            Bigarray.Array1.unsafe_set col !w a;
+            incr w
+          end;
+          incr k
+        end
+        else begin
+          Bigarray.Array1.unsafe_set col !w !b;
+          incr w;
+          incr ii;
+          b := run_head iks ilen !ii ~base ~row_end
+        end
+      done
+    end
+  done;
+  Bigarray.Array1.unsafe_set row_ptr n !w;
+  assert (!w = 2 * m');
+  { n; m = m'; row_ptr; col }
 
 let induced_by_edges g s =
   Edge.Set.iter

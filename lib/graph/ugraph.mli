@@ -5,10 +5,11 @@
     sorted ascending. Degree is O(1) ([row_ptr.(u+1) - row_ptr.(u)]),
     membership is O(log deg) binary search, iteration is a flat-buffer
     scan with zero GC traffic, and a graph occupies exactly
-    [8 * (n + 1 + 2m)] bytes. Graphs are built once — from an edge
-    list, an edge set, or a streaming emitter — and never mutated;
-    algorithms that grow edge sets (spanners) operate on {!Edge.Set}
-    values instead. *)
+    [8 * (n + 1 + 2m)] bytes. Graphs are built — from an edge list,
+    an edge set, or a streaming emitter — and never mutated; a batched
+    {!Delta} yields a fresh graph by a row splice ({!apply_delta}).
+    Algorithms that grow edge sets (spanners) mostly operate on
+    {!Edge.Set} values; the churn path keeps its spanner as a CSR. *)
 
 type t
 
@@ -32,16 +33,7 @@ module Builder : sig
   val finish : builder -> t
   (** Produces the CSR graph: one counting pass, one scatter pass, a
       per-row sort and an in-place dedup — O(m log deg_max) time,
-      O(m) off-heap space. The builder cannot be reused until
-      {!reset}. *)
-
-  val reset : builder -> n:int -> unit
-  (** Rewinds a (possibly finished) builder for another build over
-      vertex set [0..n-1], keeping the grown endpoint buffers. A
-      churn loop that rebuilds a graph every tick through the same
-      builder allocates off-heap storage only until the buffers reach
-      steady-state capacity; {!apply_delta}'s [?builder] argument is
-      the intended consumer. *)
+      O(m) off-heap space. A finished builder cannot be reused. *)
 end
 
 module Delta : sig
@@ -78,17 +70,19 @@ module Delta : sig
   val iter_deletes : (int -> int -> unit) -> t -> unit
 end
 
-val apply_delta : ?builder:Builder.builder -> t -> Delta.t -> t
+val apply_delta : t -> Delta.t -> t
 (** [apply_delta g d] is [g] with [d]'s deletions removed and its
     insertions added, as a fresh graph — [g] itself is immutable and
     untouched. Raises [Invalid_argument] if any deleted edge is
     absent from [g], any inserted edge is already present, an edge is
     queued twice on the same side or on both sides, or an endpoint is
     outside [g]'s vertex range — a rejected delta leaves no partial
-    state. Implemented as a merge-rebuild through the streaming
-    {!Builder}: O(n + m + |d| log |d|) time, and with [?builder]
-    (reused via {!Builder.reset}) no off-heap reallocation beyond the
-    result graph's own buffers. *)
+    state. Implemented as a row splice: every untouched row is copied
+    as it is and every touched row merged with its sorted changes, in
+    one O(n + m + |d| log |d|) pass that allocates nothing on the
+    OCaml heap beyond the result and reuses the delta's own key
+    workspaces. The result equals a from-scratch build of the edited
+    edge list. *)
 
 val of_edge_iter : ?expected_edges:int -> n:int -> ((int -> int -> unit) -> unit) -> t
 (** [of_edge_iter ~n iter] builds a graph by running [iter emit],
@@ -166,6 +160,15 @@ val iter_common_neighbors : (int -> unit) -> t -> int -> int -> unit
     as {!common_neighbor} without the early exit, O(deg u + deg v),
     allocation-free. The churn path uses it to pull every 2-path
     midpoint of a broken edge into the dirty ball. *)
+
+val iter_edges_outside : (int -> int -> unit) -> t -> sub:t -> unit
+(** [iter_edges_outside f g ~sub] calls [f u v] once per edge of [g]
+    absent from [sub], with [u < v], in ascending lexicographic order.
+    [sub] must be a subgraph of [g] on the same vertex set; an edge of
+    [sub] missing from [g] raises [Invalid_argument], as do differing
+    vertex counts. One merge of each vertex's two sorted rows:
+    O(n + m), allocation-free. With [sub] a candidate spanner's CSR,
+    this visits exactly the edges that need a stretch-2 witness. *)
 
 val row_matches : t -> int -> int array -> lo:int -> hi:int -> bool
 (** [row_matches g u dsts ~lo ~hi] is [true] iff

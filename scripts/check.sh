@@ -49,6 +49,9 @@
 #     --frugal-only "physical:" summary and the "msg-bits:" histogram
 #     (which deliberately describes the physical stream) are
 #     filtered — everything the protocol computes from is unchanged
+#   - the benchmark's serve_churn workload, short: spannerd under
+#     open-loop QUERY + CHURN traffic, every reply certified by the
+#     benchmark's own replay; the result line must say "correct": true
 # Run from the repository root: scripts/check.sh
 set -eu
 cd "$(dirname "$0")/.."
@@ -298,5 +301,10 @@ grep -q '"lat_us_p50"' "$benchjson"
 grep -q '"lat_us_p99"' "$benchjson"
 grep -q '"errors"' "$benchjson"
 rm -f "$benchjson"
+
+# The benchmark's churn workload, end to end and short (~13 s): every
+# CHURN ack, PATH and final STATS must match the benchmark's own replay.
+python3 perfbench/run.py --workload serve_churn --seed 1 --seconds 2 \
+  --trace 0 2> /dev/null | tail -n 1 | grep -q '"correct": true'
 
 echo "check.sh: all green"

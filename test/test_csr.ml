@@ -241,8 +241,9 @@ let test_gc_guard () =
     (spent < gc_guard_minor_words_ceiling)
 
 (* ------------------------------------------------------------------ *)
-(* Batched deltas: [apply_delta] must agree with a from-scratch build
-   of the edited edge list, under every buffer-reuse discipline. *)
+(* Batched deltas: [apply_delta]'s row splice must agree with a
+   from-scratch build of the edited edge list, including when one
+   delta's workspaces are reused across applications. *)
 
 let edges_of g = List.map Edge.endpoints (Ugraph.edges g)
 
@@ -296,16 +297,17 @@ let test_delta_equivalence () =
       let d, deleted, inserted = mk_delta g in
       let expected = scratch_apply g deleted inserted in
       let fresh = Ugraph.apply_delta g d in
-      check (name ^ ": fresh-builder") true (Ugraph.equal expected fresh);
-      let b = Ugraph.Builder.create ~n:(Ugraph.n g) () in
-      let reused = Ugraph.apply_delta ~builder:b g d in
-      check (name ^ ": reused-builder") true (Ugraph.equal expected reused);
-      (* The same builder again, as a churn tick would: apply the
-         reverse delta to come back to g. *)
-      let back = Ugraph.Delta.create () in
-      List.iter (fun (u, v) -> Ugraph.Delta.add_insert back u v) deleted;
-      List.iter (fun (u, v) -> Ugraph.Delta.add_delete back u v) inserted;
-      let g2 = Ugraph.apply_delta ~builder:b fresh back in
+      check (name ^ ": fresh delta") true (Ugraph.equal expected fresh);
+      (* The same delta again: its key workspaces now hold the first
+         application's directed keys and must be rebuilt, not read. *)
+      let reused = Ugraph.apply_delta g d in
+      check (name ^ ": reused delta") true (Ugraph.equal expected reused);
+      (* The same delta refilled, as a churn tick would: apply the
+         reverse edit to come back to g. *)
+      Ugraph.Delta.reset d;
+      List.iter (fun (u, v) -> Ugraph.Delta.add_insert d u v) deleted;
+      List.iter (fun (u, v) -> Ugraph.Delta.add_delete d u v) inserted;
+      let g2 = Ugraph.apply_delta fresh d in
       check (name ^ ": roundtrip") true (Ugraph.equal g g2))
     cases;
   (* Fingerprint pin: the edited graph, not just self-consistency. *)
@@ -330,11 +332,14 @@ let test_delta_edge_cases () =
   (* Rejections: inserting a present edge, deleting an absent one,
      the same edge on both sides, the same edge twice on one side,
      out-of-range endpoints. Each must raise and leave no partial
-     state ([g] is immutable anyway; assert it is untouched). *)
+     state ([g] is immutable anyway; assert after each one that it
+     still equals a copy). *)
+  let copy = Ugraph.of_edges ~n:(Ugraph.n g) (edges_of g) in
   let raises f =
-    match f () with
+    (match f () with
     | (_ : Ugraph.t) -> false
-    | exception Invalid_argument _ -> true
+    | exception Invalid_argument _ -> true)
+    && Ugraph.equal g copy
   in
   let with_delta adds = fun () ->
     let d = Ugraph.Delta.create () in
@@ -375,6 +380,82 @@ let test_delta_edge_cases () =
   check_int "reset inserts" 0 (Ugraph.Delta.inserts d);
   check "reset then identity" true (Ugraph.equal g (Ugraph.apply_delta g d))
 
+(* Splice corner cases, each against a from-scratch build. *)
+let splice_matches name g dels ins =
+  let d = Ugraph.Delta.create () in
+  List.iter (fun (u, v) -> Ugraph.Delta.add_delete d u v) dels;
+  List.iter (fun (u, v) -> Ugraph.Delta.add_insert d u v) ins;
+  let canon (u, v) = (min u v, max u v) in
+  let expected = scratch_apply g (List.map canon dels) ins in
+  check name true (Ugraph.equal expected (Ugraph.apply_delta g d))
+
+let test_splice_edge_cases () =
+  let g = Generators.gnp_connected (Rng.create 41) 30 0.15 in
+  let n = Ugraph.n g in
+  let row u =
+    List.map (fun v -> (u, v)) (Array.to_list (Ugraph.neighbors g u))
+  in
+  splice_matches "delete a whole row" g (row 7) [];
+  splice_matches "delete rows 0 and n-1" g (row 0 @ row (n - 1)) [];
+  let absent u =
+    List.filter
+      (fun v -> v <> u && not (Ugraph.mem_edge g u v))
+      (List.init n Fun.id)
+  in
+  splice_matches "changes at 0 and n-1" g
+    [ List.hd (row 0); List.hd (row (n - 1)) ]
+    (if Ugraph.mem_edge g 0 (n - 1) then [ (0, List.hd (List.rev (absent 0))) ]
+     else [ (0, n - 1) ]);
+  (* Vertex 9 is isolated: its row starts empty. *)
+  let holed =
+    Ugraph.of_edges ~n:12
+      (List.filter
+         (fun (u, v) -> u <> 9 && v <> 9)
+         (edges_of (Generators.grid 3 4)))
+  in
+  check_int "isolated row" 0 (Ugraph.degree holed 9);
+  splice_matches "insert into an empty row" holed []
+    [ (0, 9); (9, 11); (5, 9) ];
+  splice_matches "empty a row and refill it" g (row 4)
+    (List.map (fun v -> (min 4 v, max 4 v)) (absent 4));
+  (* Every row loses both cycle edges and gains both chords. *)
+  let c = Generators.cycle 20 in
+  splice_matches "every row touched" c (edges_of c)
+    (List.init 20 (fun i -> (min i ((i + 2) mod 20), max i ((i + 2) mod 20))));
+  splice_matches "empty delta" g [] [];
+  splice_matches "empty delta, no vertices" (Ugraph.empty 0) [] [];
+  splice_matches "empty delta, no edges" (Ugraph.empty 5) [] []
+
+(* Seeded random differential: chains of random deltas, each checked
+   against [Ugraph.of_edges] of the edited edge list. *)
+let test_splice_differential () =
+  let rng = Rng.create 43 in
+  for trial = 1 to 60 do
+    let n = 2 + Rng.int rng 30 in
+    let g = ref (Generators.gnp rng n (Rng.float rng 0.5)) in
+    for step = 1 to 4 do
+      let dels =
+        List.filter (fun _ -> Rng.int rng 4 = 0) (edges_of !g)
+      in
+      let ins = ref [] in
+      for _ = 1 to Rng.int rng (n + 1) do
+        let u = Rng.int rng n and v = Rng.int rng n in
+        let e = (min u v, max u v) in
+        if u <> v && (not (Ugraph.mem_edge !g u v)) && not (List.mem e !ins)
+        then ins := e :: !ins
+      done;
+      let d = Ugraph.Delta.create () in
+      List.iter (fun (u, v) -> Ugraph.Delta.add_delete d v u) dels;
+      List.iter (fun (u, v) -> Ugraph.Delta.add_insert d u v) !ins;
+      let expected = scratch_apply !g dels !ins in
+      let got = Ugraph.apply_delta !g d in
+      check
+        (Printf.sprintf "trial %d step %d" trial step)
+        true (Ugraph.equal expected got);
+      g := got
+    done
+  done
+
 let test_slot_endpoints () =
   let g = Generators.gnp (Rng.create 31) 70 0.12 in
   let m2 = 2 * Ugraph.m g in
@@ -407,17 +488,15 @@ let test_common_neighbors () =
   done
 
 (* GC guard for the churn path: 100 delta ticks over a 10^5-edge
-   graph through one reused builder and one reused delta must stay
-   allocation-flat — off-heap buffers reach steady-state capacity and
-   the per-tick minor-heap cost is O(1) bookkeeping, not O(m) or even
-   O(|delta|) boxing. Per-edge boxing would cost ~10^7 words over the
-   loop; the ceiling is three orders of magnitude below that. *)
+   graph through one reused delta must stay allocation-flat — off-heap
+   buffers reach steady-state capacity and the per-tick minor-heap
+   cost is O(1) bookkeeping, not O(m) or even O(|delta|) boxing.
+   Per-edge boxing would cost ~10^7 words over the loop; the ceiling
+   is three orders of magnitude below that. *)
 let test_churn_gc_guard () =
   let rows = 200 and cols = 250 in
   let g0 = Generators.grid rows cols in
   check "grid ~1e5 edges" true (Ugraph.m g0 > 99_000);
-  let b = Ugraph.Builder.create ~expected_edges:(Ugraph.m g0)
-      ~n:(Ugraph.n g0) () in
   let d = Ugraph.Delta.create ~expected:64 () in
   let g = ref g0 in
   (* Warm-up tick so every buffer reaches capacity before measuring. *)
@@ -431,16 +510,16 @@ let test_churn_gc_guard () =
   in
   Ugraph.Delta.reset d;
   batch 0 Ugraph.Delta.add_insert;
-  g := Ugraph.apply_delta ~builder:b !g d;
+  g := Ugraph.apply_delta !g d;
   Ugraph.Delta.reset d;
   batch 1 Ugraph.Delta.add_delete;
-  g := Ugraph.apply_delta ~builder:b !g d;
+  g := Ugraph.apply_delta !g d;
   let before = Gc.minor_words () in
   for tick = 0 to 99 do
     Ugraph.Delta.reset d;
     if tick mod 2 = 0 then batch tick Ugraph.Delta.add_insert
     else batch tick Ugraph.Delta.add_delete;
-    g := Ugraph.apply_delta ~builder:b !g d
+    g := Ugraph.apply_delta !g d
   done;
   let spent = Gc.minor_words () -. before in
   check "churn loop back to start" true (Ugraph.equal g0 !g);
@@ -466,6 +545,10 @@ let () =
           Alcotest.test_case "scratch equivalence" `Quick
             test_delta_equivalence;
           Alcotest.test_case "edge cases" `Quick test_delta_edge_cases;
+          Alcotest.test_case "splice edge cases" `Quick
+            test_splice_edge_cases;
+          Alcotest.test_case "splice random differential" `Quick
+            test_splice_differential;
           Alcotest.test_case "slot endpoints" `Quick test_slot_endpoints;
           Alcotest.test_case "common neighbors" `Quick test_common_neighbors;
         ] );

@@ -53,6 +53,77 @@ let test_fast_checker () =
   | _ -> Alcotest.fail "foreign edge accepted"
   | exception Invalid_argument _ -> ())
 
+(* The CSR checker against the BFS checker on seeded subsets of the
+   graph's edges: protocol spanners (valid) and random thinnings of
+   them and of the graph (mostly invalid). Both verdicts must occur. *)
+let test_csr_checker () =
+  let seen = Array.make 2 0 in
+  List.iter
+    (fun (name, mk) ->
+      List.iter
+        (fun gseed ->
+          let g = mk gseed in
+          let n = Ugraph.n g in
+          let rng = Rng.create (100 + gseed) in
+          let thin keep_one_in s =
+            Edge.Set.filter (fun _ -> Rng.int rng keep_one_in <> 0) s
+          in
+          let r = C.Two_spanner_local.run ~seed:gseed g in
+          List.iteri
+            (fun i s ->
+              let bfs = C.Spanner_check.is_spanner g s ~k:2 in
+              let csr =
+                C.Spanner_check.is_2_spanner_csr g
+                  (C.Spanner_check.spanner_csr ~n s)
+              in
+              seen.(Bool.to_int bfs) <- seen.(Bool.to_int bfs) + 1;
+              check (Printf.sprintf "%s/%d subset %d" name gseed i) bfs csr)
+            [
+              r.spanner;
+              thin 10 r.spanner;
+              thin 4 r.spanner;
+              thin 2 (Ugraph.edge_set g);
+              thin 3 (Ugraph.edge_set g);
+              Edge.Set.empty;
+            ])
+        [ 1; 2; 3; 4 ])
+    families;
+  check "some subsets valid" true (seen.(1) > 0);
+  check "some subsets invalid" true (seen.(0) > 0);
+  (* A spanner edge outside the graph raises, as does a vertex-count
+     mismatch. *)
+  let g = Generators.path 4 in
+  let raises sg =
+    match C.Spanner_check.is_2_spanner_csr g sg with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  check "foreign edge raises" true
+    (raises (Ugraph.of_edges ~n:4 [ (0, 1); (0, 3) ]));
+  check "foreign last edge raises" true
+    (raises (Ugraph.of_edges ~n:4 [ (1, 2); (2, 3); (1, 3) ]));
+  check "vertex count raises" true (raises (Ugraph.of_edges ~n:5 [ (0, 1) ]));
+  (* Past the end of both graph rows: an edge to an isolated vertex. *)
+  check "foreign edge past both rows raises" true
+    (match
+       C.Spanner_check.is_2_spanner_csr
+         (Ugraph.of_edges ~n:4 [ (0, 1); (1, 2) ])
+         (Ugraph.of_edges ~n:4 [ (2, 3) ])
+     with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  (* The verdict allocates nothing per edge or per row. *)
+  let g = Generators.gnp_connected (Rng.create 12) 400 0.05 in
+  let sg =
+    C.Spanner_check.spanner_csr ~n:400 (C.Two_spanner_local.run g).spanner
+  in
+  check "protocol spanner valid" true (C.Spanner_check.is_2_spanner_csr g sg);
+  let before = Gc.minor_words () in
+  let ok = C.Spanner_check.is_2_spanner_csr g sg in
+  let spent = Gc.minor_words () -. before in
+  check "still valid" true ok;
+  check (Printf.sprintf "checker minor words %.0f" spent) true (spent < 64.0)
+
 (* ------------------------------------------------------------------ *)
 (* Sparse activation. *)
 
@@ -264,6 +335,155 @@ let test_churn_faulted_determinism () =
   check "some tick repaired" true
     (List.exists (fun ((st : C.Incremental.tick_stats), _) -> st.broken > 0) t0)
 
+(* A test-local copy of the set-based pipeline [apply] replaced:
+   restrict S to the new graph, rebuild its CSR, sweep the seeds'
+   edges, re-run the protocol on the dirty ball, union. *)
+let reference_tick ~seed ~tick g s d =
+  let g' = Ugraph.apply_delta g d in
+  let n = Ugraph.n g' in
+  let s' = C.Resilience.surviving_edges s ~graph:g' in
+  let scsr = C.Spanner_check.spanner_csr ~n s' in
+  let is_seed = Array.make n false and dirty = Array.make n false in
+  let seeds = ref [] in
+  let add_seed u v =
+    List.iter
+      (fun x ->
+        if not is_seed.(x) then begin
+          is_seed.(x) <- true;
+          seeds := x :: !seeds
+        end)
+      [ u; v ]
+  in
+  Ugraph.Delta.iter_deletes add_seed d;
+  Ugraph.Delta.iter_inserts add_seed d;
+  let broken = ref 0 in
+  List.iter
+    (fun u ->
+      Ugraph.iter_neighbors
+        (fun v ->
+          if
+            (not (is_seed.(v) && v < u))
+            && not (C.Spanner_check.covers_edge_2 ~spanner_csr:scsr u v)
+          then begin
+            incr broken;
+            dirty.(u) <- true;
+            dirty.(v) <- true;
+            Ugraph.iter_common_neighbors (fun w -> dirty.(w) <- true) g' u v
+          end)
+        g' u)
+    !seeds;
+  let active =
+    Array.of_list (List.filter (fun v -> dirty.(v)) (List.init n Fun.id))
+  in
+  let s'' =
+    if !broken = 0 then s'
+    else
+      let tick_seed = seed lxor (tick * 0x85EBCA77) lxor 0x165667B1 in
+      Edge.Set.union s'
+        (C.Two_spanner_local.run ~seed:tick_seed ~active g').spanner
+  in
+  (g', s'', !broken, Array.length active)
+
+let test_churn_reference_replay () =
+  let seed = 29 in
+  let g0 = Generators.caveman (Rng.create 5) 8 9 0.1 in
+  let inc, _ = C.Incremental.bootstrap ~seed g0 in
+  let rng = Rng.create 61 in
+  let d = Ugraph.Delta.create () in
+  let g = ref g0 and s = ref (C.Incremental.spanner inc) in
+  let repaired = ref 0 in
+  for tick = 1 to 60 do
+    C.Incremental.churn ~rng ~replace:4 !g d;
+    let g', s', broken, dirty = reference_tick ~seed ~tick !g !s d in
+    let st = C.Incremental.apply inc d in
+    let at what = Printf.sprintf "tick %d: %s" tick what in
+    check (at "same graph") true (Ugraph.equal g' (C.Incremental.graph inc));
+    check (at "same spanner") true
+      (Edge.Set.equal s' (C.Incremental.spanner inc));
+    check_int (at "broken") broken st.broken;
+    check_int (at "dirty") dirty st.dirty;
+    let sg = C.Incremental.spanner_csr inc in
+    check_int (at "csr size = set size") (Ugraph.m sg)
+      (Edge.Set.cardinal (C.Incremental.spanner inc));
+    check_int (at "csr size = spanner_size") (Ugraph.m sg) st.spanner_size;
+    check (at "csr = set") true
+      (Ugraph.equal sg
+         (C.Spanner_check.spanner_csr ~n:(Ugraph.n g') s'));
+    check (at "valid") true (C.Incremental.valid inc);
+    if broken > 0 then incr repaired;
+    g := g';
+    s := s'
+  done;
+  check "some ticks repaired" true (!repaired > 10)
+
+(* A rejected delta leaves graph, spanner CSR, set view and tick as
+   they were, and the next tick runs exactly as if it never came. *)
+let test_churn_rejected_delta () =
+  let _, mk = List.hd families in
+  let fresh () =
+    let inc, _ = C.Incremental.bootstrap ~seed:3 (mk 6) in
+    let d = Ugraph.Delta.create () in
+    let rng = Rng.create 19 in
+    for _ = 1 to 3 do
+      C.Incremental.churn ~rng ~replace:5 (C.Incremental.graph inc) d;
+      ignore (C.Incremental.apply inc d : C.Incremental.tick_stats)
+    done;
+    (inc, rng, d)
+  in
+  let inc, rng, d = fresh () in
+  let g = C.Incremental.graph inc and sg = C.Incremental.spanner_csr inc in
+  let s = C.Incremental.spanner inc in
+  let n = Ugraph.n g in
+  let u, v = Ugraph.slot_endpoints g 0 in
+  let absent =
+    let rec find w =
+      if Ugraph.mem_edge g u w || w = u then find (w + 1) else w
+    in
+    find 0
+  in
+  (* A spanner edge is among the deletions, so a buggy apply would
+     have a spanner diff to leak. *)
+  let su, sv = Ugraph.slot_endpoints sg 0 in
+  List.iter
+    (fun (name, fill) ->
+      Ugraph.Delta.reset d;
+      fill d;
+      (match C.Incremental.apply inc d with
+      | _ -> Alcotest.fail (name ^ ": accepted")
+      | exception Invalid_argument _ -> ());
+      check (name ^ ": graph") true (Ugraph.equal g (C.Incremental.graph inc));
+      check (name ^ ": csr") true
+        (Ugraph.equal sg (C.Incremental.spanner_csr inc));
+      check (name ^ ": set") true
+        (Edge.Set.equal s (C.Incremental.spanner inc));
+      check_int (name ^ ": tick") 3 (C.Incremental.tick inc))
+    [
+      ("absent delete", fun d ->
+          Ugraph.Delta.add_delete d su sv;
+          Ugraph.Delta.add_delete d u absent);
+      ("present insert", fun d ->
+          Ugraph.Delta.add_delete d su sv;
+          Ugraph.Delta.add_insert d u v);
+      ("both sides", fun d ->
+          Ugraph.Delta.add_delete d su sv;
+          Ugraph.Delta.add_insert d sv su);
+      ("duplicate", fun d ->
+          Ugraph.Delta.add_delete d su sv;
+          Ugraph.Delta.add_delete d sv su);
+      ("out of range", fun d ->
+          Ugraph.Delta.add_delete d su sv;
+          Ugraph.Delta.add_insert d 0 n);
+    ];
+  let twin, twin_rng, twin_d = fresh () in
+  C.Incremental.churn ~rng ~replace:5 g d;
+  C.Incremental.churn ~rng:twin_rng ~replace:5 g twin_d;
+  let st = C.Incremental.apply inc d in
+  check "next tick as if never rejected" true
+    (st = C.Incremental.apply twin twin_d);
+  check "same spanner after" true
+    (Edge.Set.equal (C.Incremental.spanner twin) (C.Incremental.spanner inc));
+  check "valid after" true (C.Incremental.valid inc)
+
 let test_churn_generator () =
   let g = Generators.gnp_connected (Rng.create 8) 50 0.1 in
   let d = Ugraph.Delta.create () in
@@ -289,7 +509,10 @@ let () =
   Alcotest.run "incremental"
     [
       ( "checker",
-        [ Alcotest.test_case "fast == bfs" `Quick test_fast_checker ] );
+        [
+          Alcotest.test_case "fast == bfs" `Quick test_fast_checker;
+          Alcotest.test_case "csr == bfs" `Quick test_csr_checker;
+        ] );
       ( "active",
         [
           Alcotest.test_case "full set" `Quick test_active_full_set;
@@ -304,6 +527,9 @@ let () =
           Alcotest.test_case "determinism" `Quick test_churn_determinism;
           Alcotest.test_case "faulted determinism" `Quick
             test_churn_faulted_determinism;
+          Alcotest.test_case "reference replay" `Quick
+            test_churn_reference_replay;
+          Alcotest.test_case "rejected delta" `Quick test_churn_rejected_delta;
           Alcotest.test_case "generator" `Quick test_churn_generator;
         ] );
     ]
