@@ -1,7 +1,7 @@
 (* Shared plumbing for the bench executable: report formatting, the
    graph families and protocol anchors the perf trajectory tracks
    across PRs, wall-clock timing helpers, and the --json/--trace
-   writer (schema "spanner-bench/9").
+   writer (schema "spanner-bench/11").
 
    The experiment functions themselves live in main.ml; everything
    here is the scaffolding they share so that adding an experiment
@@ -211,72 +211,6 @@ let seq_vs_par_rows ~par ~reps ~selected =
             ] )
       end)
     (seq_vs_par_anchors ())
-
-(* ------------------------------------------------------------------ *)
-(* Allocation A/B rows (schema "spanner-bench/4").
-
-   For the E1 families and every protocol anchor, run the protocol
-   under the mailbox engine and under the legacy-cost shim
-   ([`Active_legacy_cost]): the same event-driven scheduler with the
-   pre-mailbox per-message allocation profile (list inbox + sorted
-   copy per step, send-record list per emit batch) interposed. The
-   deterministic metrics are asserted equal, so the row isolates the
-   cost of the message plumbing: minor words and allocated bytes per
-   run from [Engine.metrics], and interleaved best wall times. *)
-let alloc_rows ~reps ~selected =
-  let sel id = selected = [] || List.mem id selected in
-  let entries =
-    (if not (sel "e1") then []
-     else
-       List.map
-         (fun (name, g) ->
-           ( "e1_local_" ^ name,
-             g,
-             fun ?sched () -> C.Two_spanner_local.run ~seed:5 ?sched g ))
-         (ratio_families ()))
-    @ List.filter_map
-        (fun (name, family, kind, g) ->
-          if not (sel family) then None
-          else Some (name, g, fun ?sched () -> run_anchor ?sched kind g))
-        (anchors ())
-  in
-  List.map
-    (fun
-      ( name,
-        g,
-        (run :
-          ?sched:Distsim.Engine.sched -> unit -> C.Two_spanner_local.result)
-      )
-    ->
-      let a = run () in
-      let b = run ~sched:`Active_legacy_cost () in
-      if not (Distsim.Engine.metrics_deterministic_eq a.metrics b.metrics)
-      then
-        failwith
-          (Printf.sprintf
-             "alloc A/B: legacy-cost shim diverged on %s (deterministic \
-              metrics differ)"
-             name);
-      let mailbox_ms, legacy_ms =
-        interleaved_ab_ms ~reps
-          (fun () -> ignore (run ()))
-          (fun () -> ignore (run ~sched:`Active_legacy_cost ()))
-      in
-      ( name,
-        [
-          ("n", float_of_int (Ugraph.n g));
-          ("m", float_of_int (Ugraph.m g));
-          ("minor_words", a.metrics.minor_words);
-          ("allocated_bytes", a.metrics.allocated_bytes);
-          ("legacy_minor_words", b.metrics.minor_words);
-          ("legacy_allocated_bytes", b.metrics.allocated_bytes);
-          ( "minor_words_ratio",
-            b.metrics.minor_words /. Float.max 1.0 a.metrics.minor_words );
-          ("mailbox_ms_best", mailbox_ms);
-          ("legacy_ms_best", legacy_ms);
-          ("speedup_vs_legacy", legacy_ms /. Float.max 1e-9 mailbox_ms);
-        ] ))
-    entries
 
 (* ------------------------------------------------------------------ *)
 (* Fault-sweep rows (new in schema "spanner-bench/5").
@@ -974,12 +908,11 @@ let serve_rows ~selected =
 
 (* ------------------------------------------------------------------ *)
 (* Perf trajectory (--json FILE): a machine-readable snapshot of the
-   Bechamel estimates, wall-clock anchors, seq-vs-par A/B and engine
-   metrics, written as BENCH_PR<k>.json at the end of a PR so
+   wall-clock anchors, seq-vs-par A/B and engine metrics, written as BENCH_PR<k>.json at the end of a PR so
    regressions show up as diffs (see EXPERIMENTS.md,
    "Performance"). *)
 
-let perf_json ~json_path ~trace_path ~selected ~micro_rows ~par =
+let perf_json ~json_path ~trace_path ~selected ~par =
   let sel id = selected = [] || List.mem id selected in
   let with_densest_count f =
     let c0 = !Netflow.Densest.solver_calls in
@@ -1089,9 +1022,6 @@ let perf_json ~json_path ~trace_path ~selected ~micro_rows ~par =
   let sv_rows =
     if json_path = None then [] else seq_vs_par_rows ~par ~reps:3 ~selected
   in
-  let al_rows =
-    if json_path = None then [] else alloc_rows ~reps:3 ~selected
-  in
   let ft_rows = if json_path = None then [] else fault_rows ~selected in
   let cs_rows = if json_path = None then [] else csr_rows ~par ~selected in
   let fr_rows =
@@ -1120,14 +1050,9 @@ let perf_json ~json_path ~trace_path ~selected ~micro_rows ~par =
         else Printf.sprintf "%.3f" v
       in
       out "{\n";
-      out "  \"schema\": \"spanner-bench/10\",\n";
+      out "  \"schema\": \"spanner-bench/11\",\n";
       out "  \"par\": { \"domains\": %d, \"cores\": %d },\n" par
         (Domain.recommended_domain_count ());
-      out "  \"micro_ns_per_run\": {\n";
-      sep
-        (fun (name, est) -> out "    %S: %.1f" name est)
-        (match micro_rows with None -> [] | Some rows -> rows);
-      out "\n  },\n";
       out "  \"wall_clock_ms_best_of_5\": {\n";
       sep (fun (name, ms) -> out "    %S: %.3f" name ms) wall_rows;
       out "\n  },\n";
@@ -1145,18 +1070,6 @@ let perf_json ~json_path ~trace_path ~selected ~micro_rows ~par =
             fields;
           out " }")
         sv_rows;
-      out "\n  },\n";
-      out "  \"alloc\": {\n";
-      sep
-        (fun (name, fields) ->
-          out "    %S: { " name;
-          List.iteri
-            (fun i (k, v) ->
-              if i > 0 then out ", ";
-              out "%S: %s" k (num v))
-            fields;
-          out " }")
-        al_rows;
       out "\n  },\n";
       out "  \"faults\": {\n";
       sep
@@ -1297,14 +1210,12 @@ let perf_json ~json_path ~trace_path ~selected ~micro_rows ~par =
       output_string oc (Buffer.contents buf);
       close_out oc;
       printf
-        "\nperf trajectory written to %s (%d metric rows, %d micros, %d \
-         seq-vs-par anchors at %d domains, %d alloc rows, %d fault rows, %d \
-         csr rows, %d frugal rows, %d churn rows, %d serve rows, %d profile \
-         rows)\n"
+        "\nperf trajectory written to %s (%d metric rows, %d seq-vs-par \
+         anchors at %d domains, %d fault rows, %d csr rows, %d frugal rows, \
+         %d churn rows, %d serve rows, %d profile rows)\n"
         path
         (List.length metric_rows)
-        (match micro_rows with None -> 0 | Some rows -> List.length rows)
-        (List.length sv_rows) par (List.length al_rows)
+        (List.length sv_rows) par
         (List.length ft_rows) (List.length cs_rows) (List.length fr_rows)
         (List.length ch_rows) (List.length sv2_rows)
         (List.length profile_rows));

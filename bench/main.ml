@@ -7,8 +7,7 @@
    the algorithmic theorems, machine-checked construction properties
    and bound curves for the hardness theorems. EXPERIMENTS.md records
    paper-vs-measured for each. Run with a list of experiment ids
-   (e.g. `dune exec bench/main.exe -- e1 e8`) or nothing for all;
-   `micro` appends the Bechamel micro-benchmarks. *)
+   (e.g. `dune exec bench/main.exe -- e1 e8`) or nothing for all. *)
 
 (* Report formatting, graph families, anchors, timing helpers and the
    --json/--trace writer live in Harness (bench/harness.ml). *)
@@ -869,131 +868,6 @@ let a3 () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one Test.make per experiment. *)
-
-let micro () =
-  section "MICRO" "Bechamel timings (one test per experiment)";
-  let open Bechamel in
-  let g80 = Generators.gnp_connected (rng 1) 80 0.15 in
-  let w80 = Generators.random_weights (rng 2) g80 ~max_weight:8 in
-  let clients, servers =
-    Generators.random_client_server (rng 3) g80 ~client_fraction:0.6
-      ~server_fraction:0.7
-  in
-  let dg = Generators.bidirect (Generators.gnp_connected (rng 4) 50 0.2) in
-  let g_small = Generators.gnp_connected (rng 5) 9 0.4 in
-  let inputs = L.Disjointness.random_disjoint (rng 6) ~n:16 ~density:0.5 in
-  let inputs_small =
-    L.Disjointness.random_disjoint (rng 9) ~n:9 ~density:0.5
-  in
-  let mvc_base = Generators.gnp_connected (rng 7) 12 0.3 in
-  let star_edges =
-    let prob_rng = rng 8 in
-    let edges = ref [] in
-    for u = 0 to 13 do
-      for v = u + 1 to 13 do
-        if Rng.float prob_rng 1.0 < 0.4 then edges := (u, v) :: !edges
-      done
-    done;
-    !edges
-  in
-  let tests =
-    Test.make_grouped ~name:"spanner"
-      [
-        Test.make ~name:"e1_ratio_2spanner"
-          (Staged.stage (fun () -> C.Two_spanner.run ~rng:(rng 10) g80));
-        Test.make ~name:"e2_rounds_2spanner"
-          (Staged.stage (fun () ->
-               C.Two_spanner.run ~rng:(rng 11)
-                 (Generators.caveman (rng 12) 6 6 0.03)));
-        Test.make ~name:"e3_directed"
-          (Staged.stage (fun () -> C.Directed_two_spanner.run ~rng:(rng 13) dg));
-        Test.make ~name:"e4_weighted"
-          (Staged.stage (fun () ->
-               C.Weighted_two_spanner.run ~rng:(rng 14) g80 w80));
-        Test.make ~name:"e5_client_server"
-          (Staged.stage (fun () ->
-               C.Client_server.run ~rng:(rng 15) g80 ~clients ~servers));
-        Test.make ~name:"e6_mds"
-          (Staged.stage (fun () -> C.Mds.run ~rng:(rng 16) g80));
-        Test.make ~name:"e7_eps"
-          (Staged.stage (fun () ->
-               C.Epsilon_spanner.run ~rng:(rng 17) ~epsilon:0.5 ~k:2 g_small));
-        Test.make ~name:"e8_lb_directed"
-          (Staged.stage (fun () ->
-               L.Construction_g.build ~ell:4 ~beta:6 inputs));
-        Test.make ~name:"e9_lb_weighted"
-          (Staged.stage (fun () ->
-               let t = L.Construction_gw.build ~ell:4 inputs in
-               L.Construction_gw.has_zero_cost_spanner t ~k:4));
-        Test.make ~name:"e10_lb_mvc"
-          (Staged.stage (fun () ->
-               let t = L.Mvc_reduction.build mvc_base in
-               L.Mvc_reduction.spanner_to_vc t
-                 (L.Mvc_reduction.vc_to_spanner t (L.Mvc.two_approx mvc_base))));
-        Test.make ~name:"e11_separation"
-          (Staged.stage (fun () -> C.Baswana_sen.run ~rng:(rng 18) ~k:3 g80));
-        Test.make ~name:"e12_two_party"
-          (Staged.stage (fun () ->
-               let t = L.Construction_g.build ~ell:3 ~beta:4 inputs_small in
-               L.Two_party.meter_flood
-                 ~graph:(Dgraph.underlying t.graph)
-                 ~bob:t.bob_vertices ()));
-        Test.make ~name:"e13_local_protocol"
-          (Staged.stage (fun () ->
-               C.Two_spanner_local.run ~seed:3
-                 (Generators.caveman (rng 19) 4 6 0.05)));
-        Test.make ~name:"e14_trace"
-          (Staged.stage (fun () ->
-               C.Two_spanner.run ~seed:3 ~trace:(fun _ -> ())
-                 (Generators.clique_ladder (rng 20) 60)));
-        Test.make ~name:"e15_congest_port"
-          (Staged.stage (fun () ->
-               C.Two_spanner_local.run_congest ~seed:3
-                 (Generators.caveman (rng 21) 4 6 0.05)));
-        (* Larger protocol workloads: the perf-trajectory anchors that
-           BENCH_PR*.json tracks across PRs. *)
-        Test.make ~name:"e8_local_caveman"
-          (Staged.stage (fun () ->
-               C.Two_spanner_local.run ~seed:3
-                 (Generators.caveman (rng 23) 8 8 0.03)));
-        Test.make ~name:"e15_congest"
-          (Staged.stage (fun () ->
-               C.Two_spanner_local.run_congest ~seed:3
-                 (Generators.caveman (rng 24) 6 6 0.04)));
-        Test.make ~name:"e16_stability"
-          (Staged.stage (fun () ->
-               C.Two_spanner.run ~seed:9
-                 ~selection:(C.Two_spanner_engine.Coin 0.5)
-                 (Generators.caveman (rng 22) 4 6 0.05)));
-        Test.make ~name:"a4_densest_flow"
-          (Staged.stage (fun () ->
-               Netflow.Densest.densest_subset ~n:14 ~edges:star_edges ()));
-        Test.make ~name:"a4_densest_brute"
-          (Staged.stage (fun () ->
-               Netflow.Densest.brute_force ~n:14 ~edges:star_edges ()));
-      ]
-  in
-  let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 0.4) () in
-  let raw = Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] tests in
-  let results =
-    Analyze.all
-      (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-      Toolkit.Instance.monotonic_clock raw
-  in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols ->
-      match Analyze.OLS.estimates ols with
-      | Some (est :: _) -> rows := (name, est) :: !rows
-      | _ -> ())
-    results;
-  let rows = List.sort compare !rows in
-  printf "%-32s %14s\n" "benchmark" "ns/run";
-  List.iter (fun (name, est) -> printf "%-32s %14.0f\n" name est) rows;
-  rows
-
-(* ------------------------------------------------------------------ *)
 
 let experiments =
   [
@@ -1030,19 +904,14 @@ let () =
             exit 2)
   in
   let t0 = Unix.gettimeofday () in
-  let wanted, with_micro =
-    match args with
-    | [] -> (List.map fst experiments, true)
-    | _ -> (List.filter (fun a -> a <> "micro") args, List.mem "micro" args)
-  in
+  let wanted = if args = [] then List.map fst experiments else args in
   List.iter
     (fun id ->
       match List.assoc_opt id experiments with
       | Some f -> f ()
       | None -> printf "unknown experiment %s\n" id)
     wanted;
-  let micro_rows = if with_micro then Some (micro ()) else None in
   (match (json_path, trace_path) with
   | None, None -> ()
-  | _ -> perf_json ~json_path ~trace_path ~selected:args ~micro_rows ~par);
+  | _ -> perf_json ~json_path ~trace_path ~selected:args ~par);
   printf "\ntotal time: %.1fs\n" (Unix.gettimeofday () -. t0)

@@ -1,9 +1,8 @@
 (* Wall-clock repeat timer for the protocol hot paths.
 
-   Bechamel's OLS estimates are great for ns-scale kernels but noisy
-   for multi-millisecond end-to-end protocol runs on a busy machine;
-   this harness times fixed workloads over many repetitions and
-   reports the best (least-interfered) wall-clock per run. It is the
+   Times fixed multi-millisecond end-to-end protocol workloads over
+   many repetitions on a busy machine and reports the best
+   (least-interfered) wall-clock per run. It is the
    tool used for the before/after numbers in EXPERIMENTS.md and the
    wall-clock fields of BENCH_PR*.json.
 

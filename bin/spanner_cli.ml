@@ -86,19 +86,11 @@ let sched_conv : Distsim.Engine.sched Arg.conv =
   let parse = function
     | "active" -> Ok `Active
     | "naive" -> Ok `Naive
-    | "legacy-cost" -> Ok `Active_legacy_cost
-    | s ->
-        Error
-          (`Msg
-            (Printf.sprintf "unknown scheduler %S (active|naive|legacy-cost)"
-               s))
+    | s -> Error (`Msg (Printf.sprintf "unknown scheduler %S (active|naive)" s))
   in
   let print ppf s =
     Format.pp_print_string ppf
-      (match s with
-      | `Active -> "active"
-      | `Naive -> "naive"
-      | `Active_legacy_cost -> "legacy-cost")
+      (match s with `Active -> "active" | `Naive -> "naive")
   in
   Arg.conv (parse, print)
 

@@ -177,7 +177,7 @@ let metrics_deterministic_eq a b =
   && a.sent_physical = b.sent_physical
   && a.sent_bits = b.sent_bits
 
-type sched = [ `Active | `Active_legacy_cost | `Naive ]
+type sched = [ `Active | `Naive ]
 
 type ('state, 'msg) spec = {
   init :
@@ -191,14 +191,23 @@ type ('state, 'msg) spec = {
 
 exception Congest_violation of { src : int; dst : int; bits : int }
 
-(* The legacy [observer] is a thin wrapper over a [Send]-only trace
-   sink; the engine internally folds it into the sink it traces to. *)
-let effective_trace ?observer trace =
-  match observer with
-  | None -> trace
-  | Some f -> Trace.tee (Trace.of_observer f) trace
 
 let now_ns = Clock.now_ns
+
+(* The frugal layer's hooks into message accounting: its physical
+   charge for a delivered, a duplicated and a dropped logical message
+   ([src dst payload bits]), the full-neighborhood broadcast fast path,
+   and the end-of-round flush that settles silences and aggregated
+   collects. *)
+type 'msg frugal_layer = {
+  direct : int -> int -> 'msg -> int -> unit;
+  duplicated : int -> int -> 'msg -> int -> unit;
+  dropped_phys : int -> int -> int -> unit;
+  broadcast :
+    bandwidth:int option -> int -> int array -> 'msg -> lo:int -> hi:int ->
+    unit;
+  flush : unit -> unit;
+}
 
 (* Message accounting shared by both schedulers, one message at a
    time. [round] is the engine's current-round cell (0 during init),
@@ -211,9 +220,8 @@ let now_ns = Clock.now_ns
    boundaries), per-round deltas only when tracing. [profile], when
    installed, sees every metered message's size; like the trace
    emission this happens on the calling (merge) thread only. *)
-let make_accounting ?observer ?adversary ?profile ?frugal ~trace ~round
-    ~strict ~graph ~measure () =
-  let trace = effective_trace ?observer trace in
+let make_accounting ?adversary ?profile ?frugal ~trace ~round ~strict ~graph
+    ~measure () =
   let tracing = not (Trace.is_null trace) in
   let wants_sends = Trace.wants_sends trace in
   let frugal_on = frugal <> None in
@@ -285,53 +293,9 @@ let make_accounting ?observer ?adversary ?profile ?frugal ~trace ~round
       invalid_arg
         (Printf.sprintf "Engine: vertex %d sent to non-neighbor %d" src dst)
   in
-  (* The adversary and frugal branches are resolved {e once} here, so
-     the plain no-adversary account path is exactly the
-     pre-fault-injection code. [account] meters one message;
-     [account_seg] meters one drained outbox segment (all sends of one
-     vertex this round) so the frugal path can recognize
-     full-neighborhood broadcasts; [flush_round] settles end-of-round
-     physical state (end-of-silence markers, aggregated collects). *)
-  let plain_account =
-    match adversary with
-    | None ->
-        fun ~bandwidth ~deliver src dst payload ->
-          check_edge src dst;
-          meter ~bandwidth src dst (measure payload);
-          deliver ~src ~dst payload
-    | Some adv -> (
-        fun ~bandwidth ~deliver src dst payload ->
-          check_edge src dst;
-          let bits = measure payload in
-          match Adversary.consult adv ~src ~dst with
-          | Adversary.Deliver ->
-              meter ~bandwidth src dst bits;
-              deliver ~src ~dst payload
-          | Adversary.Duplicate ->
-              meter ~bandwidth src dst bits;
-              deliver ~src ~dst payload;
-              meter ~bandwidth src dst bits;
-              deliver ~src ~dst payload
-          | Adversary.Drop reason ->
-              meter ~bandwidth src dst bits;
-              incr dropped;
-              incr r_dropped;
-              if tracing && wants_sends then
-                Trace.emit trace
-                  (Trace.Message_dropped
-                     { src; dst; round = !round; reason }))
-  in
-  let account, account_seg, flush_round =
+  let frugal_layer =
     match frugal with
-    | None ->
-        let seg ~bandwidth ~deliver src dsts msgs ~lo ~hi =
-          for i = lo to hi - 1 do
-            plain_account ~bandwidth ~deliver src
-              (Array.unsafe_get dsts i)
-              (Array.unsafe_get msgs i)
-          done
-        in
-        (plain_account, seg, fun () -> ())
+    | None -> None
     | Some fr ->
         if
           not
@@ -499,49 +463,6 @@ let make_accounting ?observer ?adversary ?profile ?frugal ~trace ~round
               Bytes.set !e_flag slot (Char.chr (flag land lnot 1))
           end
         in
-        let account =
-          match adversary with
-          | None ->
-              fun ~bandwidth ~deliver src dst payload ->
-                check_edge src dst;
-                let bits = measure payload in
-                meter ~bandwidth src dst bits;
-                direct src dst payload bits;
-                deliver ~src ~dst payload
-          | Some adv -> (
-              (* The coin stream is consulted per {e logical} message
-                 in delivery order, exactly as on a plain run, so
-                 faulted executions stay bit-identical with and
-                 without [?frugal]. Faulted copies are charged at full
-                 size (a sender cannot lean on silence over a lossy
-                 link), conservatively never under-counting. *)
-              fun ~bandwidth ~deliver src dst payload ->
-                check_edge src dst;
-                let bits = measure payload in
-                match Adversary.consult adv ~src ~dst with
-                | Adversary.Deliver ->
-                    meter ~bandwidth src dst bits;
-                    direct src dst payload bits;
-                    deliver ~src ~dst payload
-                | Adversary.Duplicate ->
-                    meter ~bandwidth src dst bits;
-                    charge src dst bits;
-                    deliver ~src ~dst payload;
-                    meter ~bandwidth src dst bits;
-                    charge src dst bits;
-                    deliver ~src ~dst payload;
-                    force src dst payload
-                | Adversary.Drop reason ->
-                    meter ~bandwidth src dst bits;
-                    charge src dst bits;
-                    invalidate src dst;
-                    incr dropped;
-                    incr r_dropped;
-                    if tracing && wants_sends then
-                      Trace.emit trace
-                        (Trace.Message_dropped
-                           { src; dst; round = !round; reason }))
-        in
         (* One full-neighborhood broadcast: bulk logical metering, one
            tree publish, and a collect mark per receiver (aggregated
            into one physical message per receiver per round at
@@ -595,56 +516,6 @@ let make_accounting ?observer ?adversary ?profile ?frugal ~trace ~round
           end;
           b_round.(src) <- !round;
           !b_msg.(src) <- payload
-        in
-        let account_seg =
-          match adversary with
-          | Some _ ->
-              (* Collection trees assume a reliable network; under an
-                 adversary every message takes the per-edge path so
-                 the coin stream is untouched. *)
-              fun ~bandwidth ~deliver src dsts msgs ~lo ~hi ->
-                for i = lo to hi - 1 do
-                  account ~bandwidth ~deliver src
-                    (Array.unsafe_get dsts i)
-                    (Array.unsafe_get msgs i)
-                done
-          | None ->
-              (* A segment is a broadcast when it spells out the whole
-                 neighbor row with one shared (physically equal)
-                 payload — which is what the protocols' broadcast
-                 helpers emit. Everything else takes the per-edge
-                 path. The broadcast test replaces the per-message
-                 [mem_edge] binary searches with one linear row
-                 comparison, which is where the frugal merge-path
-                 speedup comes from. *)
-              fun ~bandwidth ~deliver src dsts msgs ~lo ~hi ->
-                let slow () =
-                  for j = lo to hi - 1 do
-                    account ~bandwidth ~deliver src
-                      (Array.unsafe_get dsts j)
-                      (Array.unsafe_get msgs j)
-                  done
-                in
-                if hi - lo >= 2 then begin
-                  let p0 = Array.unsafe_get msgs lo in
-                  let shared = ref true in
-                  let i = ref (lo + 1) in
-                  while !shared && !i < hi do
-                    if Array.unsafe_get msgs !i != p0 then shared := false;
-                    incr i
-                  done;
-                  if
-                    !shared
-                    && Grapho.Ugraph.row_matches graph src dsts ~lo ~hi
-                  then begin
-                    broadcast ~bandwidth src dsts p0 ~lo ~hi;
-                    for j = lo to hi - 1 do
-                      deliver ~src ~dst:(Array.unsafe_get dsts j) p0
-                    done
-                  end
-                  else slow ()
-                end
-                else slow ()
         in
         let blocked =
           match adversary with
@@ -720,7 +591,123 @@ let make_accounting ?observer ?adversary ?profile ?frugal ~trace ~round
           done;
           cw_len := 0
         in
-        (account, account_seg, flush_round)
+        (* Faulted copies are charged at full size: a sender cannot
+           lean on silence over a lossy link. *)
+        let duplicated src dst payload bits =
+          charge src dst bits;
+          charge src dst bits;
+          force src dst payload
+        in
+        let dropped_phys src dst bits =
+          charge src dst bits;
+          invalidate src dst
+        in
+        Some { direct; duplicated; dropped_phys; broadcast; flush = flush_round }
+  in
+  (* The one adversary verdict match; [direct], [duplicated] and
+     [dropped_phys] are the frugal layer's physical charges (nothing
+     on a plain run, whose physical stream is its logical one). The
+     coin stream is consulted per {e logical} message in delivery
+     order, so faulted executions stay bit-identical with and without
+     [?frugal]. *)
+  let consult adv ~direct ~duplicated ~dropped_phys ~bandwidth ~deliver src
+      dst payload =
+    check_edge src dst;
+    let bits = measure payload in
+    match Adversary.consult adv ~src ~dst with
+    | Adversary.Deliver ->
+        meter ~bandwidth src dst bits;
+        direct src dst payload bits;
+        deliver ~src ~dst payload
+    | Adversary.Duplicate ->
+        meter ~bandwidth src dst bits;
+        deliver ~src ~dst payload;
+        meter ~bandwidth src dst bits;
+        deliver ~src ~dst payload;
+        duplicated src dst payload bits
+    | Adversary.Drop reason ->
+        meter ~bandwidth src dst bits;
+        dropped_phys src dst bits;
+        incr dropped;
+        incr r_dropped;
+        if tracing && wants_sends then
+          Trace.emit trace
+            (Trace.Message_dropped { src; dst; round = !round; reason })
+  in
+  (* [account] meters one message. The no-adversary paths are resolved
+     here once, so a plain run does exactly the pre-fault-injection
+     work per message. *)
+  let account =
+    match (adversary, frugal_layer) with
+    | None, None ->
+        fun ~bandwidth ~deliver src dst payload ->
+          check_edge src dst;
+          meter ~bandwidth src dst (measure payload);
+          deliver ~src ~dst payload
+    | None, Some f ->
+        fun ~bandwidth ~deliver src dst payload ->
+          check_edge src dst;
+          let bits = measure payload in
+          meter ~bandwidth src dst bits;
+          f.direct src dst payload bits;
+          deliver ~src ~dst payload
+    | Some adv, None ->
+        consult adv
+          ~direct:(fun _ _ _ _ -> ())
+          ~duplicated:(fun _ _ _ _ -> ())
+          ~dropped_phys:(fun _ _ _ -> ())
+    | Some adv, Some f ->
+        consult adv ~direct:f.direct ~duplicated:f.duplicated
+          ~dropped_phys:f.dropped_phys
+  in
+  let per_message ~bandwidth ~deliver src dsts msgs ~lo ~hi =
+    for i = lo to hi - 1 do
+      account ~bandwidth ~deliver src
+        (Array.unsafe_get dsts i)
+        (Array.unsafe_get msgs i)
+    done
+  in
+  (* [account_seg] meters one drained outbox segment (all sends of one
+     vertex this round), so the frugal path can recognize broadcasts. *)
+  let account_seg =
+    match (adversary, frugal_layer) with
+    | None, Some f ->
+        (* A segment is a broadcast when it spells out the whole
+           neighbor row with one shared (physically equal) payload —
+           which is what the protocols' broadcast helpers emit.
+           Everything else takes the per-edge path. The broadcast test
+           replaces the per-message [mem_edge] binary searches with one
+           linear row comparison, which is where the frugal merge-path
+           speedup comes from. *)
+        let shared msgs ~lo ~hi =
+          let p0 = Array.unsafe_get msgs lo in
+          let i = ref (lo + 1) in
+          while !i < hi && Array.unsafe_get msgs !i == p0 do
+            incr i
+          done;
+          !i = hi
+        in
+        fun ~bandwidth ~deliver src dsts msgs ~lo ~hi ->
+          if
+            hi - lo >= 2
+            && shared msgs ~lo ~hi
+            && Grapho.Ugraph.row_matches graph src dsts ~lo ~hi
+          then begin
+            let p0 = Array.unsafe_get msgs lo in
+            f.broadcast ~bandwidth src dsts p0 ~lo ~hi;
+            for j = lo to hi - 1 do
+              deliver ~src ~dst:(Array.unsafe_get dsts j) p0
+            done
+          end
+          else per_message ~bandwidth ~deliver src dsts msgs ~lo ~hi
+    | _ ->
+        (* Collection trees assume a reliable network; under an
+           adversary every message takes the per-edge path so the coin
+           stream is untouched. *)
+        per_message
+  in
+  let flush_round =
+    match frugal_layer with None -> ignore | Some f -> f.flush
   in
   let finish rounds ~steps ~crashed =
     {
@@ -777,30 +764,7 @@ let make_accounting ?observer ?adversary ?profile ?frugal ~trace ~round
     r_physical := 0;
     stat
   in
-  (trace, tracing, account, account_seg, finish, take_round, flush_round)
-
-(* Round 0 shared by both schedulers: initialize vertices in ascending
-   id order, draining the shared outbox after each init so delivery,
-   metric and trace side effects happen in exactly per-vertex ascending
-   order. The first vertex's state seeds the states array (no dummy
-   ['state] exists). *)
-let init_states ~n ~graph ~(spec : _ spec) ~out ~drain =
-  if n = 0 then [||]
-  else begin
-    let s0 =
-      spec.init ~n ~vertex:0
-        ~neighbors:(Grapho.Ugraph.neighbors graph 0) ~out
-    in
-    let states = Array.make n s0 in
-    drain 0;
-    for v = 1 to n - 1 do
-      states.(v) <-
-        spec.init ~n ~vertex:v
-          ~neighbors:(Grapho.Ugraph.neighbors graph v) ~out;
-      drain v
-    done;
-    states
-  end
+  (tracing, account_seg, finish, take_round, flush_round)
 
 (* Sparse activation ([?active]): the engine can run a spec on a
    restricted vertex set. Semantically the run IS the protocol on the
@@ -809,7 +773,7 @@ let init_states ~n ~graph ~(spec : _ spec) ~out ~drain =
    rejected, and termination quantifies over the active set — but
    vertex ids, the randomness they key, and [check_edge]'s membership
    probes all stay global, so a protocol needs no renumbering. Every
-   engine structure (states, done flags, inbox banks) is sized to
+   engine structure (states, done flags, inbox stores) is sized to
    |active|, not n: the per-round and per-run cost scales with the
    activation footprint, which is what makes ball-local spanner
    repair cheaper than recomputing. Only the vertex-id -> slot map is
@@ -817,20 +781,16 @@ let init_states ~n ~graph ~(spec : _ spec) ~out ~drain =
    so side effects replay in ascending vertex id exactly like a dense
    run and the seq / par / naive bit-identity contract carries over
    unchanged. *)
-let validate_active ~n = function
-  | None -> ()
-  | Some act ->
-      let prev = ref (-1) in
-      Array.iter
-        (fun v ->
-          if v < 0 || v >= n then
-            invalid_arg
-              (Printf.sprintf "Engine: ?active vertex %d out of range [0,%d)"
-                 v n);
-          if v <= !prev then
-            invalid_arg "Engine: ?active must be strictly ascending";
-          prev := v)
-        act
+let validate_active ~n act =
+  let prev = ref (-1) in
+  Array.iter
+    (fun v ->
+      if v < 0 || v >= n then
+        invalid_arg
+          (Printf.sprintf "Engine: ?active vertex %d out of range [0,%d)" v n);
+      if v <= !prev then invalid_arg "Engine: ?active must be strictly ascending";
+      prev := v)
+    act
 
 let slot_of_vertex ~n act =
   let pos = Array.make n (-1) in
@@ -854,37 +814,6 @@ let filtered_neighbors ~graph ~pos v =
     graph v;
   arr
 
-(* Round 0 of a sparse run: same ascending-order init-and-drain
-   discipline as [init_states], over the active set, with each
-   vertex's neighbor array filtered to the active set. *)
-let init_states_sparse ~n ~graph ~(spec : _ spec) ~act ~pos ~out ~drain =
-  let a = Array.length act in
-  if a = 0 then [||]
-  else begin
-    let v0 = act.(0) in
-    let s0 =
-      spec.init ~n ~vertex:v0
-        ~neighbors:(filtered_neighbors ~graph ~pos v0)
-        ~out
-    in
-    let states = Array.make a s0 in
-    drain v0;
-    for i = 1 to a - 1 do
-      let v = act.(i) in
-      states.(i) <-
-        spec.init ~n ~vertex:v
-          ~neighbors:(filtered_neighbors ~graph ~pos v)
-          ~out;
-      drain v
-    done;
-    states
-  end
-
-(* The retained reference path: step every vertex every round, rebuild
-   and sort every inbox from a per-round list. Kept deliberately
-   list-based (modulo the mailbox calling convention) so the
-   equivalence suite can diff the zero-allocation active scheduler
-   against an independently-structured implementation. *)
 (* Normalizing an empty-schedule adversary away keeps the [None] hot
    path byte-for-byte what it was before fault injection existed — the
    drop-p=0 ≡ no-adversary identity holds trivially. *)
@@ -892,178 +821,50 @@ let normalize_adversary = function
   | Some a when not (Adversary.has_faults a) -> None
   | a -> a
 
-let run_naive ?max_rounds ?(strict = false) ?observer ?(trace = Trace.null)
-    ?adversary ?profile ?frugal ?active ~model ~graph spec =
-  let n = Grapho.Ugraph.n graph in
-  let adversary = normalize_adversary adversary in
-  (match adversary with Some a -> Adversary.reset a ~n | None -> ());
-  (* [a] vertices actually run; [slot] indexes the engine's arrays and
-     equals the vertex id on a dense run. *)
-  let sparse = active <> None in
-  let act = match active with Some act -> act | None -> [||] in
-  let a = if sparse then Array.length act else n in
-  let pos = if sparse then slot_of_vertex ~n act else [||] in
-  let max_rounds =
-    match max_rounds with Some r -> r | None -> 50 * (a + 5)
-  in
-  let done_flags = Array.make a false in
-  let inboxes = Array.make a [] in
-  let bandwidth = Model.bandwidth model in
-  let in_flight = ref 0 in
-  let round = ref 0 in
-  let profiling = profile <> None in
-  (match profile with Some p -> Profile.run_begin p | None -> ());
-  let trace, tracing, _account, account_seg, finish, take_round, flush_round =
-    make_accounting ?observer ?adversary ?profile ?frugal ~trace ~round
-      ~strict ~graph ~measure:spec.measure ()
-  in
-  let crashed_now () =
-    match adversary with None -> 0 | Some a -> Adversary.crashed_count a
-  in
-  let is_crashed =
-    match adversary with
-    | None -> fun _ -> false
-    | Some a -> fun v -> Adversary.is_crashed a v
-  in
-  let deliver =
-    if not sparse then fun ~src ~dst payload ->
-      incr in_flight;
-      inboxes.(dst) <- (src, payload) :: inboxes.(dst)
-    else fun ~src ~dst payload ->
-      let slot = pos.(dst) in
-      if slot < 0 then
-        invalid_arg
-          (Printf.sprintf "Engine: vertex %d sent to frozen vertex %d" src
-             dst);
-      incr in_flight;
-      inboxes.(slot) <- (src, payload) :: inboxes.(slot)
-  in
-  let out = outbox_create () in
-  let drain src =
-    account_seg ~bandwidth ~deliver src out.o_dst out.o_msg ~lo:0
-      ~hi:out.o_len;
-    out.o_len <- 0
-  in
-  let scratch = inbox_create () in
-  let steps = ref 0 in
-  let count_done () =
-    Array.fold_left (fun acc f -> if f then acc + 1 else acc) 0 done_flags
-  in
-  let round_end t0 ~stepped =
-    flush_round ();
-    let t1 = if tracing || profiling then now_ns () else 0 in
-    (match profile with
-    | Some p -> Profile.round_span p ~round:!round ~t0 ~t1
-    | None -> ());
-    if tracing then
-      Trace.emit trace
-        (Trace.Round_end
-           (take_round ~stepped ~vdone:(count_done ())
-              ~crashed:(crashed_now ()) ~elapsed_ns:(t1 - t0) !round))
-  in
-  (* Round 0: init everyone (active vertices only on a sparse run). *)
-  if tracing then Trace.emit trace (Trace.Round_begin 0);
-  let t0 = if tracing || profiling then now_ns () else 0 in
-  let states =
-    if sparse then init_states_sparse ~n ~graph ~spec ~act ~pos ~out ~drain
-    else init_states ~n ~graph ~spec ~out ~drain
-  in
-  steps := a;
-  round_end t0 ~stepped:a;
-  let all_done () = Array.for_all (fun f -> f) done_flags in
-  let finished = ref (a = 0) in
-  while not !finished do
-    incr round;
-    if !round > max_rounds then
-      failwith
-        (Printf.sprintf "Engine.run: no termination within %d rounds"
-           max_rounds);
-    if tracing then Trace.emit trace (Trace.Round_begin !round);
-    let t0 = if tracing || profiling then now_ns () else 0 in
-    (* Activate scheduled faults for this round before the inbox
-       snapshot: a vertex crash-stopped at round [r] loses the
-       messages that were about to arrive at [r] and never steps
-       again (deliveries to it are dropped at [consult] time, so it
-       stays quiet forever). *)
-    (match adversary with
-    | None -> ()
-    | Some adv ->
-        Adversary.begin_round adv ~round:!round (fun kind ->
-            (match kind with
-            | Trace.Crash v ->
-                (* On a sparse run the engine arrays are slot-indexed;
-                   a crash scheduled at a frozen vertex touches no
-                   engine state (the vertex was never running — the
-                   adversary still drops traffic addressed to it, of
-                   which there is none). *)
-                let slot = if sparse then pos.(v) else v in
-                if slot >= 0 then begin
-                  inboxes.(slot) <- [];
-                  done_flags.(slot) <- true
-                end
-            | Trace.Cut _ | Trace.Restore _ -> ());
-            if tracing then
-              Trace.emit trace (Trace.Fault_injected { round = !round; kind })));
-    (* Snapshot and clear inboxes so this round's sends arrive next
-       round. *)
-    let current = Array.copy inboxes in
-    Array.fill inboxes 0 a [];
-    in_flight := 0;
-    let stepped = ref 0 in
-    for slot = 0 to a - 1 do
-      let v = if sparse then act.(slot) else slot in
-      if not (is_crashed v) then begin
-        incr stepped;
-        (* Monomorphic sort key: sources are ints, so the polymorphic
-           [compare] the original loop used is pure overhead here. *)
-        let sorted =
-          List.sort (fun (a, _) (b, _) -> Int.compare a b) current.(slot)
-        in
-        inbox_clear scratch;
-        List.iter (fun (s, m) -> inbox_push scratch ~src:s m) sorted;
-        (match profile with
-        | Some p -> Profile.record_inbox p scratch.i_len
-        | None -> ());
-        let state, status =
-          spec.step ~round:!round ~vertex:v states.(slot) scratch ~out
-        in
-        states.(slot) <- state;
-        done_flags.(slot) <- (status = `Done);
-        drain v
-      end
-    done;
-    steps := !steps + !stepped;
-    round_end t0 ~stepped:!stepped;
-    if all_done () && !in_flight = 0 then finished := true
-  done;
-  (match profile with Some p -> Profile.run_end p | None -> ());
-  (states, finish !round ~steps:!steps ~crashed:(crashed_now ()))
+(* Inbox storage, the one thing the two schedulers keep apart.
+   [`Active] swaps two preallocated banks of per-slot buffers (this
+   round's sends accumulate in [next]) and hands a slot's own buffer
+   to [step] as its inbox view, so steady-state rounds allocate
+   nothing. [`Naive], the differential oracle, conses deliveries onto
+   per-slot lists and sorts each into a scratch view at step time:
+   deliberately list-based, so the equivalence suite diffs the
+   zero-allocation path against an independently-structured one. *)
+type 'msg boxes =
+  | Banks of {
+      mutable cur : 'msg inbox array;
+      mutable next : 'msg inbox array;
+    }
+  | Lists of {
+      mutable cur : (int * 'msg) list array;
+      mutable next : (int * 'msg) list array;
+      scratch : 'msg inbox;
+    }
 
-(* The event-driven path: a vertex is stepped only while it has
+(* One round loop for both schedulers. Setup, round 0, the round
+   limit, fault activation, round bracketing and termination are
+   shared; the schedulers differ only in their [boxes] and in which
+   slots they step.
+
+   [`Active] is event-driven: a slot is stepped only while it has
    pending messages or has not signalled [`Done]. Correct whenever the
    algorithm is *quiescent when done* — a vertex that returned [`Done]
    and then steps on an empty inbox changes nothing and stays [`Done]
    (every spec in this repository satisfies this; the equivalence
-   suite checks it on the protocols that matter).
+   suite checks it on the protocols that matter). Sends land in a
+   reused outbox that is drained — validated, metered, traced,
+   delivered — right after the step returns. [`Naive] steps every
+   live slot every round.
 
-   Zero-allocation plumbing: two preallocated banks of per-vertex
-   inbox buffers are swapped each round (this round's sends accumulate
-   in the other bank), the vertex's own buffer is passed to [step]
-   directly as its inbox view, and sends land in a reused outbox that
-   is drained — validated, metered, traced, delivered — right after
-   the step returns. Steady-state rounds therefore allocate nothing in
-   the engine.
-
-   With [par > 1] the per-round stepping fans out over a persistent
-   domain pool: the vertex range is cut into contiguous shards, each
-   shard steps its vertices appending sends to a per-shard outbox and
-   a [(vertex, count)] segment index, and a serial merge then walks
-   the shards in order — i.e. in ascending vertex id — performing
-   every side effect the sequential loop would have performed, in the
-   same order: message delivery into the next bank (so inbox insertion
+   With [par > 1] the [`Active] stepping fans out over a persistent
+   domain pool: the slot range is cut into contiguous shards, each
+   shard steps its slots appending sends to a per-shard outbox and a
+   [(vertex, count)] segment index, and a serial merge then walks the
+   shards in order — i.e. in ascending vertex id — performing every
+   side effect the sequential loop would have performed, in the same
+   order: message delivery into the next bank (so inbox insertion
    order is preserved), metric accumulation, congestion checks and
    trace [Send] emission. The parallel phase writes only disjoint
-   per-vertex slots ([states], [done_flags], each vertex's own inbox
+   per-slot cells ([states], [done_flags], each slot's own inbox
    buffer) plus per-shard scratch, and the pool barrier publishes
    those writes, so the result is bit-identical to the sequential loop
    for any shard count (GC-pressure metrics excepted: each domain owns
@@ -1071,19 +872,34 @@ let run_naive ?max_rounds ?(strict = false) ?observer ?(trace = Trace.null)
    a strict [Congest_violation] or a non-neighbor [Invalid_argument]
    is raised at merge time, after the whole round has been stepped,
    rather than mid-round. *)
-let run_active ?max_rounds ?(strict = false) ?observer ?(trace = Trace.null)
+let run ?max_rounds ?(strict = false) ?(trace = Trace.null) ?(sched = `Active)
     ?(par = 1) ?adversary ?profile ?frugal ?active ~model ~graph spec =
   let n = Grapho.Ugraph.n graph in
+  (match active with
+  | None -> ()
+  | Some act ->
+      validate_active ~n act;
+      (* Frugal keys per-edge suppression machines on the full graph
+         and would silently mis-account against an induced subgraph —
+         reject rather than guess a semantics.  The adversary, by
+         contrast, composes: its coin stream is consulted once per
+         delivered message in merge order (unchanged by sparsity),
+         fraction crashes resolve over the full n, and a crash landing
+         on a frozen vertex is a no-op (the vertex was never running). *)
+      if frugal <> None then
+        invalid_arg "Engine: ?active is incompatible with ?frugal");
   let adversary = normalize_adversary adversary in
   (match adversary with Some a -> Adversary.reset a ~n | None -> ());
   (* [a] vertices actually run; [slot] indexes every engine array and
-     equals the vertex id on a dense run, so the dense path costs one
-     predictable branch per stepped vertex and nothing else. *)
+     equals the vertex id on a dense run. *)
   let sparse = active <> None in
   let act = match active with Some act -> act | None -> [||] in
   let a = if sparse then Array.length act else n in
   let pos = if sparse then slot_of_vertex ~n act else [||] in
-  let par = max 1 (min par a) in
+  let vertex_of slot = if sparse then Array.unsafe_get act slot else slot in
+  (* [`Naive] stays single-domain: it is the reference the sharded
+     path is diffed against. *)
+  let par = match sched with `Naive -> 1 | `Active -> max 1 (min par a) in
   let pool = if par > 1 then Some (Pool.get par) else None in
   (* Shard count actually used per round. *)
   let k = match pool with None -> 1 | Some p -> min par (Pool.size p) in
@@ -1093,7 +909,8 @@ let run_active ?max_rounds ?(strict = false) ?observer ?(trace = Trace.null)
       Profile.run_begin p;
       if pool <> None then Profile.ensure_shards p k
   | None -> ());
-  (* Per-shard scratch, allocated once and reused every round. *)
+  (* Per-shard scratch, allocated once and reused every round; the
+     sequential loops use shard 0's counters. *)
   let shard_out = Array.init k (fun _ -> outbox_create ()) in
   let shard_seg = Array.init k (fun _ -> seg_make ()) in
   let shard_stepped = Array.make k 0 in
@@ -1102,37 +919,42 @@ let run_active ?max_rounds ?(strict = false) ?observer ?(trace = Trace.null)
     match max_rounds with Some r -> r | None -> 50 * (a + 5)
   in
   let done_flags = Array.make a false in
-  (* Degree in the full graph is an upper bound on the induced degree,
-     so the hint stays valid on sparse runs. *)
-  let slot_hint s =
-    Grapho.Ugraph.degree graph (if sparse then act.(s) else s)
-  in
-  let bank_a = Array.init a (fun s -> inbox_create ~hint:(slot_hint s) ()) in
-  let bank_b = Array.init a (fun s -> inbox_create ~hint:(slot_hint s) ()) in
-  let cur = ref bank_a and next = ref bank_b in
-  let bandwidth = Model.bandwidth model in
-  let pending = ref 0 in (* messages sitting in [next] *)
   let not_done = ref a in
+  let pending = ref 0 in (* messages delivered for the next round *)
   let round = ref 0 in
-  let trace, tracing, _account, account_seg, finish, take_round, flush_round =
-    make_accounting ?observer ?adversary ?profile ?frugal ~trace ~round
-      ~strict ~graph ~measure:spec.measure ()
+  let boxes =
+    match sched with
+    | `Active ->
+        (* Degree in the full graph is an upper bound on the induced
+           degree, so the hint stays valid on sparse runs. *)
+        let bank () =
+          Array.init a (fun s ->
+              inbox_create ~hint:(Grapho.Ugraph.degree graph (vertex_of s)) ())
+        in
+        let cur = bank () in
+        Banks { cur; next = bank () }
+    | `Naive ->
+        Lists
+          { cur = Array.make a []; next = Array.make a [];
+            scratch = inbox_create () }
   in
+  let tracing, account_seg, finish, take_round, flush_round =
+    make_accounting ?adversary ?profile ?frugal ~trace ~round ~strict ~graph
+      ~measure:spec.measure ()
+  in
+  let bandwidth = Model.bandwidth model in
   let crashed_now () =
     match adversary with None -> 0 | Some a -> Adversary.crashed_count a
   in
-  let deliver =
-    if not sparse then fun ~src ~dst payload ->
-      incr pending;
-      inbox_push !next.(dst) ~src payload
-    else fun ~src ~dst payload ->
-      let slot = pos.(dst) in
-      if slot < 0 then
-        invalid_arg
-          (Printf.sprintf "Engine: vertex %d sent to frozen vertex %d" src
-             dst);
-      incr pending;
-      inbox_push !next.(slot) ~src payload
+  let deliver ~src ~dst payload =
+    let slot = if sparse then pos.(dst) else dst in
+    if slot < 0 then
+      invalid_arg
+        (Printf.sprintf "Engine: vertex %d sent to frozen vertex %d" src dst);
+    incr pending;
+    match boxes with
+    | Banks b -> inbox_push b.next.(slot) ~src payload
+    | Lists l -> l.next.(slot) <- (src, payload) :: l.next.(slot)
   in
   let account_seg src dsts msgs ~lo ~hi =
     account_seg ~bandwidth ~deliver src dsts msgs ~lo ~hi
@@ -1142,7 +964,6 @@ let run_active ?max_rounds ?(strict = false) ?observer ?(trace = Trace.null)
     account_seg src out.o_dst out.o_msg ~lo:0 ~hi:out.o_len;
     out.o_len <- 0
   in
-  let steps = ref 0 in
   let round_end t0 ~stepped =
     flush_round ();
     let t1 = if tracing || profiling then now_ns () else 0 in
@@ -1155,16 +976,66 @@ let run_active ?max_rounds ?(strict = false) ?observer ?(trace = Trace.null)
            (take_round ~stepped ~vdone:(a - !not_done)
               ~crashed:(crashed_now ()) ~elapsed_ns:(t1 - t0) !round))
   in
-  (* Round 0: init everyone (always sequential; active vertices only
-     on a sparse run). *)
+  (* Round 0: init every running vertex in ascending id order (always
+     sequential), draining the outbox after each init so delivery,
+     metric and trace side effects happen in exactly per-vertex
+     ascending order. A sparse run hands each vertex only its active
+     neighbors. *)
   if tracing then Trace.emit trace (Trace.Round_begin 0);
   let t0 = if tracing || profiling then now_ns () else 0 in
   let states =
-    if sparse then init_states_sparse ~n ~graph ~spec ~act ~pos ~out ~drain
-    else init_states ~n ~graph ~spec ~out ~drain
+    Array.init a (fun slot ->
+        let v = vertex_of slot in
+        let neighbors =
+          if sparse then filtered_neighbors ~graph ~pos v
+          else Grapho.Ugraph.neighbors graph v
+        in
+        let s = spec.init ~n ~vertex:v ~neighbors ~out in
+        drain v;
+        s)
   in
-  steps := a;
+  let steps = ref a in
   round_end t0 ~stepped:a;
+  let record_inbox =
+    match (profile, pool) with
+    | None, _ -> fun ~shard:_ _ -> ()
+    | Some p, None -> fun ~shard:_ len -> Profile.record_inbox p len
+    | Some p, Some _ ->
+        (* Shards record into disjoint profile slots; the merge flushes
+           them on the calling thread. *)
+        fun ~shard len -> Profile.record_shard_inbox p ~shard len
+  in
+  (* The per-slot step body: inbox histogram, [spec.step], inbox reset
+     and done bookkeeping. Writes only the slot's own cells and shard
+     [shard]'s counters, so pool shards can run it concurrently. *)
+  let step ~shard ~out ib slot =
+    record_inbox ~shard ib.i_len;
+    let state, status =
+      spec.step ~round:!round ~vertex:(vertex_of slot) states.(slot) ib ~out
+    in
+    ib.i_len <- 0;
+    states.(slot) <- state;
+    shard_stepped.(shard) <- shard_stepped.(shard) + 1;
+    match status with
+    | `Done ->
+        if not done_flags.(slot) then begin
+          done_flags.(slot) <- true;
+          shard_delta.(shard) <- shard_delta.(shard) - 1
+        end
+    | `Continue ->
+        if done_flags.(slot) then begin
+          done_flags.(slot) <- false;
+          shard_delta.(shard) <- shard_delta.(shard) + 1
+        end
+  in
+  (* The [`Active] wake condition, shared by the sequential loop and
+     the pool shards. *)
+  let wake_step ~shard ~out bank slot =
+    let b = bank.(slot) in
+    let wake = b.i_len > 0 || not done_flags.(slot) in
+    if wake then step ~shard ~out b slot;
+    wake
+  in
   let finished = ref (a = 0) in
   while not !finished do
     incr round;
@@ -1174,20 +1045,24 @@ let run_active ?max_rounds ?(strict = false) ?observer ?(trace = Trace.null)
            max_rounds);
     if tracing then Trace.emit trace (Trace.Round_begin !round);
     let t0 = if tracing || profiling then now_ns () else 0 in
-    (* Swap banks: this round's sends accumulate in the other bank and
-       arrive next round. *)
-    let t = !cur in
-    cur := !next;
-    next := t;
+    (* Last round's deliveries become this round's inboxes; this
+       round's sends accumulate in the other store and arrive next
+       round. *)
+    (match boxes with
+    | Banks b ->
+        let t = b.cur in
+        b.cur <- b.next;
+        b.next <- t
+    | Lists l ->
+        l.cur <- l.next;
+        l.next <- Array.make a []);
     pending := 0;
-    let bank = !cur in
     (* Fault activation happens on the calling domain, before any
        stepping (sequential or parallel): a crash-stopped vertex's
-       pending inbox is destroyed and it is flagged done, so the step
-       condition below never wakes it again (deliveries to it are
-       dropped at [consult] time). The pool barrier publishes these
-       writes to the shards, and the order is identical for any shard
-       count. *)
+       pending inbox is destroyed and it is flagged done, so no
+       scheduler wakes it again (deliveries to it are dropped at
+       [consult] time). The pool barrier publishes these writes to
+       the shards, and the order is identical for any shard count. *)
     (match adversary with
     | None -> ()
     | Some adv ->
@@ -1198,7 +1073,9 @@ let run_active ?max_rounds ?(strict = false) ?observer ?(trace = Trace.null)
                    vertex of a sparse run touches no engine state. *)
                 let slot = if sparse then pos.(v) else v in
                 if slot >= 0 then begin
-                  bank.(slot).i_len <- 0;
+                  (match boxes with
+                  | Banks b -> b.cur.(slot).i_len <- 0
+                  | Lists l -> l.cur.(slot) <- []);
                   if not done_flags.(slot) then begin
                     done_flags.(slot) <- true;
                     decr not_done
@@ -1207,93 +1084,38 @@ let run_active ?max_rounds ?(strict = false) ?observer ?(trace = Trace.null)
             | Trace.Cut _ | Trace.Restore _ -> ());
             if tracing then
               Trace.emit trace (Trace.Fault_injected { round = !round; kind })));
-    let stepped = ref 0 in
-    (match pool with
-    | None ->
+    Array.fill shard_stepped 0 k 0;
+    Array.fill shard_delta 0 k 0;
+    (match (boxes, pool) with
+    | Banks b, None ->
         for slot = 0 to a - 1 do
-          let b = bank.(slot) in
-          if b.i_len > 0 || not done_flags.(slot) then begin
-            let v = if sparse then Array.unsafe_get act slot else slot in
-            incr stepped;
-            (match profile with
-            | Some p -> Profile.record_inbox p b.i_len
-            | None -> ());
-            let state, status =
-              spec.step ~round:!round ~vertex:v states.(slot) b ~out
-            in
-            b.i_len <- 0;
-            states.(slot) <- state;
-            (match status with
-            | `Done -> if not done_flags.(slot) then begin
-                done_flags.(slot) <- true;
-                decr not_done
-              end
-            | `Continue -> if done_flags.(slot) then begin
-                done_flags.(slot) <- false;
-                incr not_done
-              end);
-            drain v
-          end
+          if wake_step ~shard:0 ~out b.cur slot then drain (vertex_of slot)
         done
-    | Some pool ->
-        let r = !round in
-        (* Parallel phase: step shards concurrently; touch only
-           disjoint per-vertex slots and per-shard scratch. Shards cut
-           the slot range, which on a sparse run is the ascending
-           active order, so the serial merge below still replays side
-           effects in ascending vertex id. *)
+    | Banks b, Some pool ->
+        let bank = b.cur in
+        (* Parallel phase: step shards concurrently. Shards cut the slot
+           range, which on a sparse run is the ascending active order,
+           so the serial merge below still replays side effects in
+           ascending vertex id. *)
         Pool.run pool ~shards:k ~n:a (fun ~lo ~hi ~shard ->
-            (* Shards stamp their own clocks and record inbox sizes
-               into disjoint profile slots; the merge below flushes
-               them on the calling thread. *)
             (match profile with
             | Some p -> Profile.shard_begin p ~shard
             | None -> ());
-            let sout = shard_out.(shard) in
-            sout.o_len <- 0;
-            let seg = shard_seg.(shard) in
-            seg.s_len <- 0;
-            let st = ref 0 in
-            let delta = ref 0 in
+            let sout = shard_out.(shard) and seg = shard_seg.(shard) in
             for slot = lo to hi - 1 do
-              let b = bank.(slot) in
-              if b.i_len > 0 || not done_flags.(slot) then begin
-                let v = if sparse then Array.unsafe_get act slot else slot in
-                incr st;
-                (match profile with
-                | Some p -> Profile.record_shard_inbox p ~shard b.i_len
-                | None -> ());
-                let before = sout.o_len in
-                let state, status =
-                  spec.step ~round:r ~vertex:v states.(slot) b ~out:sout
-                in
-                b.i_len <- 0;
-                states.(slot) <- state;
-                (match status with
-                | `Done ->
-                    if not done_flags.(slot) then begin
-                      done_flags.(slot) <- true;
-                      decr delta
-                    end
-                | `Continue ->
-                    if done_flags.(slot) then begin
-                      done_flags.(slot) <- false;
-                      incr delta
-                    end);
-                (* Draining an empty outbox is a no-op, so vertices
-                   that sent nothing can be skipped in the merge. The
-                   segment records the global vertex id: the merge's
-                   accounting validates sends against the full
-                   graph. *)
+              let before = sout.o_len in
+              (* Draining an empty outbox is a no-op, so slots that
+                 sent nothing are skipped in the merge. The segment
+                 records the global vertex id: the merge's accounting
+                 validates sends against the full graph. *)
+              if wake_step ~shard ~out:sout bank slot then begin
                 let cnt = sout.o_len - before in
-                if cnt > 0 then seg_push seg v cnt
+                if cnt > 0 then seg_push seg (vertex_of slot) cnt
               end
             done;
-            shard_stepped.(shard) <- !st;
-            shard_delta.(shard) <- !delta;
-            (match profile with
+            match profile with
             | Some p -> Profile.shard_end p ~shard
-            | None -> ()));
+            | None -> ());
         let merge_t0 =
           match profile with Some _ -> now_ns () | None -> 0
         in
@@ -1302,101 +1124,45 @@ let run_active ?max_rounds ?(strict = false) ?observer ?(trace = Trace.null)
            concatenation of its vertices' sends): exactly the
            side-effect order of the sequential loop. *)
         for s = 0 to k - 1 do
-          stepped := !stepped + shard_stepped.(s);
-          not_done := !not_done + shard_delta.(s);
-          let sout = shard_out.(s) in
-          let seg = shard_seg.(s) in
+          let sout = shard_out.(s) and seg = shard_seg.(s) in
           let off = ref 0 in
           for i = 0 to seg.s_len - 1 do
-            let v = seg.s_v.(i) in
             let stop = !off + seg.s_cnt.(i) in
-            account_seg v sout.o_dst sout.o_msg ~lo:!off ~hi:stop;
+            account_seg seg.s_v.(i) sout.o_dst sout.o_msg ~lo:!off ~hi:stop;
             off := stop
           done;
           sout.o_len <- 0;
           seg.s_len <- 0
         done;
-        match profile with
+        (match profile with
         | Some p ->
             Profile.merge_span p ~round:!round ~shards:k ~t0:merge_t0
               ~t1:(now_ns ())
-        | None -> ());
-    steps := !steps + !stepped;
-    round_end t0 ~stepped:!stepped;
+        | None -> ())
+    | Lists l, _ ->
+        for slot = 0 to a - 1 do
+          let v = vertex_of slot in
+          let live =
+            match adversary with
+            | None -> true
+            | Some adv -> not (Adversary.is_crashed adv v)
+          in
+          if live then begin
+            (* Monomorphic sort key: sources are ints. *)
+            let sorted =
+              List.sort (fun (a, _) (b, _) -> Int.compare a b) l.cur.(slot)
+            in
+            inbox_clear l.scratch;
+            List.iter (fun (s, m) -> inbox_push l.scratch ~src:s m) sorted;
+            step ~shard:0 ~out l.scratch slot;
+            drain v
+          end
+        done);
+    let stepped = Array.fold_left ( + ) 0 shard_stepped in
+    not_done := !not_done + Array.fold_left ( + ) 0 shard_delta;
+    steps := !steps + stepped;
+    round_end t0 ~stepped;
     if !not_done = 0 && !pending = 0 then finished := true
   done;
   (match profile with Some p -> Profile.run_end p | None -> ());
   (states, finish !round ~steps:!steps ~crashed:(crashed_now ()))
-
-(* Benchmarking shim: identical results and scheduling, pre-mailbox
-   allocation profile. Each step first materializes the [(src, msg)]
-   list inbox the pre-mailbox engine handed to protocols (one tuple
-   and one cons cell per delivered message, plus the per-step sort),
-   and every send goes through a send-record list rebuilt from a
-   scratch outbox (one 2-field record and one cons cell per message)
-   before being replayed into the engine's real outbox. This is the
-   "before" side of the allocation A/B in the perf trajectory. *)
-type 'msg legacy_send = { ls_dst : int; ls_payload : 'msg }
-
-let legacy_cost_spec (spec : ('s, 'm) spec) : ('s, 'm) spec =
-  let scratch = outbox_create () in
-  let collect () =
-    let acc = ref [] in
-    outbox_iter
-      (fun ~dst m -> acc := { ls_dst = dst; ls_payload = m } :: !acc)
-      scratch;
-    outbox_clear scratch;
-    List.rev !acc
-  in
-  let replay out sends =
-    List.iter (fun s -> emit out ~dst:s.ls_dst s.ls_payload) sends
-  in
-  {
-    init =
-      (fun ~n ~vertex ~neighbors ~out ->
-        let st = spec.init ~n ~vertex ~neighbors ~out:scratch in
-        replay out (collect ());
-        st);
-    step =
-      (fun ~round ~vertex st inbox ~out ->
-        let lst =
-          inbox_fold (fun acc ~src m -> (src, m) :: acc) [] inbox
-        in
-        let lst = List.sort (fun (a, _) (b, _) -> compare a b) lst in
-        ignore (Sys.opaque_identity lst);
-        let st', status = spec.step ~round ~vertex st inbox ~out:scratch in
-        replay out (collect ());
-        (st', status));
-    measure = spec.measure;
-  }
-
-let run ?max_rounds ?strict ?observer ?trace ?(sched = `Active) ?par ?adversary
-    ?profile ?frugal ?active ~model ~graph spec =
-  (match active with
-  | None -> ()
-  | Some _ ->
-      validate_active ~n:(Grapho.Ugraph.n graph) active;
-      (* Frugal keys per-edge suppression machines on the full graph
-         and would silently mis-account against an induced subgraph —
-         reject rather than guess a semantics.  The adversary, by
-         contrast, composes: its coin stream is consulted once per
-         delivered message in merge order (unchanged by sparsity),
-         fraction crashes resolve over the full n, and a crash landing
-         on a frozen vertex is a no-op (the vertex was never running). *)
-      if frugal <> None then
-        invalid_arg "Engine: ?active is incompatible with ?frugal");
-  match sched with
-  | `Naive ->
-      (* The reference path stays single-domain by design: it is the
-         thing the parallel path is diffed against. *)
-      run_naive ?max_rounds ?strict ?observer ?trace ?adversary ?profile
-        ?frugal ?active ~model ~graph spec
-  | `Active ->
-      run_active ?max_rounds ?strict ?observer ?trace ?par ?adversary ?profile
-        ?frugal ?active ~model ~graph spec
-  | `Active_legacy_cost ->
-      (* [scratch] in the shim is shared across vertices, so this
-         variant must stay single-domain; it exists for the bench
-         binary's allocation A/B, not for parallel runs. *)
-      run_active ?max_rounds ?strict ?observer ?trace ?adversary ?profile
-        ?frugal ?active ~model ~graph (legacy_cost_spec spec)

@@ -150,7 +150,7 @@ val metrics_logical_eq : metrics -> metrics -> bool
     keeps bit-identical to a plain run of the same spec. The frugal
     A/B gates are stated in this equality. *)
 
-type sched = [ `Active | `Active_legacy_cost | `Naive ]
+type sched = [ `Active | `Naive ]
 (** Scheduling strategy. [`Active] (the default) is event-driven: a
     vertex is stepped in a round only if it has pending inbox messages
     or has not signalled [`Done]; inboxes are insertion-ordered
@@ -160,17 +160,10 @@ type sched = [ `Active | `Active_legacy_cost | `Naive ]
     {e quiescent when done}: once a vertex returns [`Done], stepping
     it on an empty inbox must leave its state unchanged, emit nothing
     and return [`Done] again (a woken vertex may of course resume with
-    [`Continue]). [`Naive] retains the original step-everyone loop
-    with per-round rebuilt-and-sorted inboxes as a reference for
-    differential testing ([test/test_engine_sched.ml]).
-
-    [`Active_legacy_cost] is the [`Active] scheduler with a
-    benchmarking shim interposed that reproduces the pre-mailbox
-    allocation profile — every step materializes a sorted
-    [(src, msg) list] inbox and routes sends through a send-record
-    list before replaying them. Identical results and deterministic
-    metrics; exists as the "before" side of the allocation A/B in the
-    bench binary. Single-domain only ([par] is ignored). *)
+    [`Continue]). [`Naive] steps every vertex every round on
+    per-round rebuilt-and-sorted list inboxes; it shares the engine's
+    round loop and is kept as the reference for differential testing
+    ([test/test_engine_sched.ml]). *)
 
 type ('state, 'msg) spec = {
   init :
@@ -196,7 +189,6 @@ exception Congest_violation of { src : int; dst : int; bits : int }
 val run :
   ?max_rounds:int ->
   ?strict:bool ->
-  ?observer:(src:int -> dst:int -> bits:int -> unit) ->
   ?trace:Trace.sink ->
   ?sched:sched ->
   ?par:int ->
@@ -213,11 +205,9 @@ val run :
     stream: [Round_begin]/[Round_end] around every round (round 0 is
     initialization) with per-round message counts, bit volumes,
     stepped-vertex counts, wall-clock time and minor-words allocated,
-    plus one [Send] per wire message when the sink wants them.
-    [observer] is the legacy per-message callback — internally a
-    [Send]-only sink tee'd onto [trace] — that the two-party
-    simulation harness uses to meter the bits crossing the Alice/Bob
-    cut. [strict] (default [false]) raises {!Congest_violation} on the
+    plus one [Send] per wire message when the sink wants them (the
+    two-party simulation harness meters the Alice/Bob cut with such a
+    {!Trace.custom} sink). [strict] (default [false]) raises {!Congest_violation} on the
     first oversized message instead of merely counting it. [sched]
     picks the scheduling strategy (default [`Active]). Sending to a
     non-neighbor raises [Invalid_argument]. [max_rounds] defaults to

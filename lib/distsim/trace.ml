@@ -39,16 +39,6 @@ let wants_sends = function Null -> false | Sink { sends; _ } -> sends
 let emit sink ev = match sink with Null -> () | Sink { emit; _ } -> emit ev
 let custom ?(sends = true) emit = Sink { emit; sends }
 
-let of_observer f =
-  Sink
-    {
-      sends = true;
-      emit =
-        (function
-        | Send { src; dst; bits; _ } -> f ~src ~dst ~bits
-        | _ -> ());
-    }
-
 let tee a b =
   match (a, b) with
   | Null, s | s, Null -> s

@@ -22,8 +22,8 @@
     {!null} is free (the engine detects it and skips all event
     construction), {!stats} accumulates an in-memory per-round
     {!series}, {!jsonl} streams JSON Lines to a channel, {!tee}
-    duplicates, and {!of_observer} adapts the legacy per-message
-    observer callback as a [Send]-only sink. *)
+    duplicates, and {!custom} wraps any callback (the two-party
+    harness meters its cut with a [Send]-only one). *)
 
 type round_stat = {
   round : int;
@@ -119,10 +119,6 @@ val emit : sink -> event -> unit
 val custom : ?sends:bool -> (event -> unit) -> sink
 (** An arbitrary callback sink. [sends] (default [true]) declares
     whether it wants {!constructor:Send} events. *)
-
-val of_observer : (src:int -> dst:int -> bits:int -> unit) -> sink
-(** Adapts the legacy engine observer as a [Send]-only sink — the
-    two-party cut-metering hook is this, underneath. *)
 
 val tee : sink -> sink -> sink
 (** Duplicates every event into both sinks. [tee null s == s]. *)

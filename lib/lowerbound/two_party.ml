@@ -20,12 +20,15 @@ let meter ?max_rounds ~model ~graph ~bob spec =
       graph 0
   in
   let bits_across_cut = ref 0 in
-  let observer ~src ~dst ~bits =
-    if is_bob.(src) <> is_bob.(dst) then
-      bits_across_cut := !bits_across_cut + bits
+  let cut_meter =
+    Distsim.Trace.custom (function
+      | Distsim.Trace.Send { src; dst; bits; _ }
+        when is_bob.(src) <> is_bob.(dst) ->
+          bits_across_cut := !bits_across_cut + bits
+      | _ -> ())
   in
   let states, metrics =
-    Distsim.Engine.run ?max_rounds ~observer ~model ~graph spec
+    Distsim.Engine.run ?max_rounds ~trace:cut_meter ~model ~graph spec
   in
   let bandwidth =
     match Distsim.Model.bandwidth model with

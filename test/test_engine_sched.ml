@@ -62,14 +62,7 @@ let test_local_matrix () =
           check (label ^ " spanner") true (Edge.Set.equal a.spanner b.spanner);
           check_int (label ^ " iterations") a.iterations b.iterations;
           check_metrics label a.metrics b.metrics;
-          check_steps label ~n:(Ugraph.n g) a.metrics b.metrics;
-          (* The legacy-cost bench shim must be cost-only: identical
-             results and deterministic metrics. *)
-          let c = C.Two_spanner_local.run ~seed ~sched:`Active_legacy_cost g in
-          check (label ^ " legacy-cost spanner") true
-            (Edge.Set.equal a.spanner c.spanner);
-          check (label ^ " legacy-cost metrics") true
-            (Distsim.Engine.metrics_deterministic_eq a.metrics c.metrics))
+          check_steps label ~n:(Ugraph.n g) a.metrics b.metrics)
         seeds)
     families
 
@@ -166,18 +159,21 @@ let test_flood_min_both_scheds () =
     ]
 
 (* The per-edge traffic profile — the quantity the two-party
-   cut-metering arguments depend on — must be (1) identical under both
-   schedulers and (2) identical whether collected through the legacy
-   observer callback or through a Send-only trace sink (the observer
-   is now a thin wrapper over such a sink). *)
-let test_observer_vs_send_sink () =
+   cut-metering arguments depend on — collected through a Send-only
+   trace sink must be identical under both schedulers, and the
+   two-party harness (which meters its cut with such a sink) must
+   report exactly that profile summed over the cut. *)
+let test_send_sink_per_edge () =
   let collect run =
     let tbl : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
     let record ~src ~dst ~bits =
       Hashtbl.replace tbl (src, dst)
         (bits + Option.value ~default:0 (Hashtbl.find_opt tbl (src, dst)))
     in
-    run record;
+    run
+      (Distsim.Trace.custom (function
+        | Distsim.Trace.Send { src; dst; bits; _ } -> record ~src ~dst ~bits
+        | _ -> ()));
     tbl
   in
   let equal_tbl a b =
@@ -186,42 +182,37 @@ let test_observer_vs_send_sink () =
          (fun k v acc -> acc && Hashtbl.find_opt b k = Some v)
          a true
   in
-  let send_sink record =
-    Distsim.Trace.custom (function
-      | Distsim.Trace.Send { src; dst; bits; _ } -> record ~src ~dst ~bits
-      | _ -> ())
-  in
   List.iter
     (fun (name, g) ->
-      (* Plain engine spec: observer vs sink, Active vs Naive. *)
-      let via_observer sched =
-        collect (fun record ->
-            ignore
-              (Distsim.Engine.run ~sched ~observer:record
-                 ~model:Distsim.Model.local ~graph:g (flood_spec g)))
-      in
       let via_sink sched =
-        collect (fun record ->
+        collect (fun sink ->
             ignore
-              (Distsim.Engine.run ~sched ~trace:(send_sink record)
+              (Distsim.Engine.run ~sched ~trace:sink
                  ~model:Distsim.Model.local ~graph:g (flood_spec g)))
       in
-      let oa = via_observer `Active and on = via_observer `Naive in
       let sa = via_sink `Active and sn = via_sink `Naive in
-      check (name ^ " observer: active = naive") true (equal_tbl oa on);
-      check (name ^ " sink = observer (active)") true (equal_tbl oa sa);
-      check (name ^ " sink = observer (naive)") true (equal_tbl on sn);
-      check (name ^ " some traffic recorded") true (Hashtbl.length oa > 0);
+      check (name ^ " sink: active = naive") true (equal_tbl sa sn);
+      check (name ^ " some traffic recorded") true (Hashtbl.length sa > 0);
+      let n = Ugraph.n g in
+      let bob = List.init (n / 2) (fun i -> i + (n - (n / 2))) in
+      let is_bob v = v >= n - (n / 2) in
+      let report, _ =
+        Lowerbound.Two_party.meter ~model:Distsim.Model.local ~graph:g ~bob
+          (flood_spec g)
+      in
+      check_int (name ^ " two-party cut bits = sink profile over the cut")
+        (Hashtbl.fold
+           (fun (s, d) bits acc ->
+             if is_bob s <> is_bob d then acc + bits else acc)
+           sa 0)
+        report.bits_across_cut;
       (* The full protocol via its ?trace parameter. *)
       let protocol sched =
-        collect (fun record ->
-            ignore
-              (C.Two_spanner_local.run ~seed:4 ~sched
-                 ~trace:(send_sink record) g))
+        collect (fun sink ->
+            ignore (C.Two_spanner_local.run ~seed:4 ~sched ~trace:sink g))
       in
-      let pa = protocol `Active and pn = protocol `Naive in
       check (name ^ " protocol per-edge bits: active = naive") true
-        (equal_tbl pa pn))
+        (equal_tbl (protocol `Active) (protocol `Naive)))
     [
       ("path_20", Generators.path 20);
       ("caveman", Generators.caveman (rng 12) 4 5 0.05);
@@ -447,10 +438,7 @@ let test_empty_and_singleton () =
           in
           let label =
             Printf.sprintf "%s/%s" name
-              (match sched with
-              | `Active -> "active"
-              | `Naive -> "naive"
-              | `Active_legacy_cost -> "legacy")
+              (match sched with `Active -> "active" | `Naive -> "naive")
           in
           check_int (label ^ " states") (Ugraph.n g) (Array.length states);
           check_int (label ^ " messages") 0 metrics.messages;
@@ -514,6 +502,97 @@ let test_pool_edge_cases () =
     (Distsim.Engine.metrics_deterministic_eq seq.metrics par.metrics)
 
 (* ------------------------------------------------------------------ *)
+(* Error-path matrix: every documented engine error surfaces with the
+   same exception and message under the sequential active loop, the
+   sharded one and the naive reference. Offending sends happen in
+   round 1, not at init, so the sharded case raises from its merge. *)
+
+let misbehave ?(forever = false) act =
+  {
+    Distsim.Engine.init = (fun ~n:_ ~vertex:_ ~neighbors:_ ~out:_ -> ());
+    step =
+      (fun ~round ~vertex () _ ~out ->
+        if round = 1 then act ~vertex out;
+        ((), if forever then `Continue else `Done));
+    measure = (fun bits -> bits);
+  }
+
+(* Vertex 3 sends one [bits]-bit message to [dst] in round 1. *)
+let send_from_3 ~dst ~bits =
+  misbehave (fun ~vertex out ->
+      if vertex = 3 then Distsim.Engine.emit out ~dst bits)
+
+let test_error_matrix () =
+  let g = Generators.path 6 in
+  let local = Distsim.Model.local in
+  let congest = Distsim.Model.congest ~n:6 () in
+  let b = Option.get (Distsim.Model.bandwidth congest) in
+  let cases =
+    [
+      ( "non-neighbor",
+        Invalid_argument "Engine: vertex 3 sent to non-neighbor 5",
+        fun ~sched ~par ->
+          ignore
+            (Distsim.Engine.run ~sched ~par ~model:local ~graph:g
+               (send_from_3 ~dst:5 ~bits:1)) );
+      ( "frozen",
+        Invalid_argument "Engine: vertex 3 sent to frozen vertex 4",
+        fun ~sched ~par ->
+          ignore
+            (Distsim.Engine.run ~sched ~par ~active:[| 1; 2; 3 |] ~model:local
+               ~graph:g
+               (send_from_3 ~dst:4 ~bits:1)) );
+      ( "strict",
+        Distsim.Engine.Congest_violation { src = 3; dst = 4; bits = b + 1 },
+        fun ~sched ~par ->
+          ignore
+            (Distsim.Engine.run ~sched ~par ~strict:true ~model:congest
+               ~graph:g
+               (send_from_3 ~dst:4 ~bits:(b + 1))) );
+      ( "max_rounds",
+        Failure "Engine.run: no termination within 5 rounds",
+        fun ~sched ~par ->
+          ignore
+            (Distsim.Engine.run ~sched ~par ~max_rounds:5 ~model:local
+               ~graph:g
+               (misbehave ~forever:true (fun ~vertex:_ _ -> ()))) );
+      ( "active with frugal",
+        Invalid_argument "Engine: ?active is incompatible with ?frugal",
+        fun ~sched ~par ->
+          ignore
+            (Distsim.Engine.run ~sched ~par ~active:[| 0; 1 |]
+               ~frugal:(Distsim.Frugal.create g) ~model:local ~graph:g
+               (send_from_3 ~dst:4 ~bits:1)) );
+      ( "frugal for another graph",
+        Invalid_argument "Engine: ?frugal value built for a different graph",
+        fun ~sched ~par ->
+          ignore
+            (Distsim.Engine.run ~sched ~par
+               ~frugal:(Distsim.Frugal.create (Generators.path 7))
+               ~model:local ~graph:g
+               (send_from_3 ~dst:4 ~bits:1)) );
+      ( "unsorted active",
+        Invalid_argument "Engine: ?active must be strictly ascending",
+        fun ~sched ~par ->
+          ignore
+            (Distsim.Engine.run ~sched ~par ~active:[| 2; 1 |] ~model:local
+               ~graph:g
+               (send_from_3 ~dst:4 ~bits:1)) );
+    ]
+  in
+  List.iter
+    (fun (case, exn, run) ->
+      List.iter
+        (fun (label, sched, par) ->
+          Alcotest.check_raises
+            (Printf.sprintf "%s / %s" case label)
+            exn
+            (fun () -> run ~sched ~par))
+        [ ("active", `Active, 1); ("active par2", `Active, 2);
+          ("naive", `Naive, 1) ])
+    cases
+
+(* ------------------------------------------------------------------ *)
 (* GC-regression guard: the mailbox hot path must not allocate per
    message. After a warm-up run (which grows the reused inbox/outbox
    banks to their steady-state capacity), repeat runs of a flood on a
@@ -525,36 +604,53 @@ let test_pool_edge_cases () =
 let test_allocation_budget () =
   let g = Generators.complete 48 in
   let spec = flood_spec g in
-  let run () =
-    Distsim.Engine.run ~model:Distsim.Model.local ~graph:g spec
-  in
-  (* Warm-up: sizes the engine's internal buffers and triggers any
-     one-time allocation (closures, state arrays). *)
-  ignore (run ());
-  let _, m = run () in
-  check "messages flow" true (m.messages > 1000);
-  let runs = 5 in
-  let before = Gc.minor_words () in
-  for _ = 1 to runs do
-    ignore (run ())
-  done;
-  let delta = Gc.minor_words () -. before in
-  let per_run = delta /. float_of_int runs in
-  (* Steady state still allocates the per-run state array, closures and
-     metrics record, but nothing proportional to the ~2256 messages *
-     rounds of traffic. The budget is generous against noise yet an
-     order of magnitude below the list-based cost (one 3-word block per
-     send plus a (src,msg) tuple per delivery was > 5 words/message). *)
-  let budget = 20_000.0 in
-  if per_run > budget then
-    Alcotest.failf
-      "mailbox hot path allocates %.0f minor words/run (budget %.0f)"
-      per_run budget;
-  (* And the engine's own accounting agrees with the external probe:
-     metrics report the same order of allocation. *)
-  let _, m2 = run () in
-  check "metrics expose minor_words" true (m2.minor_words >= 0.0);
-  check "metrics expose allocated_bytes" true (m2.allocated_bytes >= 0.0)
+  (* Sequential, sharded and sparse ([?active] over 40 of the 48
+     vertices) runs share one budget: the sharded merge and the slot
+     map must not reintroduce per-message allocation either. *)
+  List.iter
+    (fun (label, run) ->
+      (* Warm-up: sizes the engine's internal buffers and triggers any
+         one-time allocation (closures, state arrays, the pool). *)
+      ignore (run ());
+      let _, (m : Distsim.Engine.metrics) = run () in
+      check (label ^ " messages flow") true (m.messages > 1000);
+      let runs = 5 in
+      let before = Gc.minor_words () in
+      for _ = 1 to runs do
+        ignore (run ())
+      done;
+      let delta = Gc.minor_words () -. before in
+      let per_run = delta /. float_of_int runs in
+      (* Steady state still allocates the per-run state array, closures
+         and metrics record, but nothing proportional to the ~2256
+         messages * rounds of traffic. The budget is generous against
+         noise yet an order of magnitude below the list-based cost (one
+         3-word block per send plus a (src,msg) tuple per delivery was
+         > 5 words/message). *)
+      let budget = 20_000.0 in
+      if per_run > budget then
+        Alcotest.failf
+          "%s: mailbox hot path allocates %.0f minor words/run (budget %.0f)"
+          label per_run budget;
+      (* And the engine's own accounting agrees with the external probe:
+         metrics report the same order of allocation. *)
+      let _, (m2 : Distsim.Engine.metrics) = run () in
+      check (label ^ " metrics expose minor_words") true
+        (m2.minor_words >= 0.0);
+      check (label ^ " metrics expose allocated_bytes") true
+        (m2.allocated_bytes >= 0.0))
+    [
+      ( "seq",
+        fun () -> Distsim.Engine.run ~model:Distsim.Model.local ~graph:g spec
+      );
+      ( "par2",
+        fun () ->
+          Distsim.Engine.run ~par:2 ~model:Distsim.Model.local ~graph:g spec );
+      ( "active",
+        fun () ->
+          Distsim.Engine.run ~active:(Array.init 40 Fun.id)
+            ~model:Distsim.Model.local ~graph:g spec );
+    ]
 
 let test_allocation_metrics_populated () =
   (* The GC fields must be populated (non-zero) for a protocol run —
@@ -578,8 +674,8 @@ let () =
           Alcotest.test_case "congest matrix" `Quick test_congest_matrix;
           Alcotest.test_case "weighted matrix" `Quick test_weighted_matrix;
           Alcotest.test_case "flood min" `Quick test_flood_min_both_scheds;
-          Alcotest.test_case "observer vs send sink" `Quick
-            test_observer_vs_send_sink;
+          Alcotest.test_case "send sink per-edge bits" `Quick
+            test_send_sink_per_edge;
         ] );
       ( "parallel determinism",
         [
@@ -595,6 +691,8 @@ let () =
             test_empty_and_singleton;
           Alcotest.test_case "pool edge cases" `Quick test_pool_edge_cases;
         ] );
+      ( "errors",
+        [ Alcotest.test_case "error-path matrix" `Quick test_error_matrix ] );
       ( "allocation",
         [
           Alcotest.test_case "steady-state budget" `Quick

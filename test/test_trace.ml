@@ -317,13 +317,6 @@ let test_sink_plumbing () =
   let quiet = T.custom ~sends:false (fun _ -> ()) in
   check "tee sends or" true (T.wants_sends (T.tee quiet s));
   check "tee sends neither" false (T.wants_sends (T.tee quiet quiet));
-  (* of_observer delivers Send events only. *)
-  let seen = ref 0 in
-  let obs = T.of_observer (fun ~src:_ ~dst:_ ~bits -> seen := !seen + bits) in
-  T.emit obs (T.Send { src = 0; dst = 1; bits = 5; round = 1 });
-  T.emit obs (T.Round_begin 2);
-  T.emit obs (T.Phase { vertex = 0; name = "x"; round = 2 });
-  check_int "observer saw only the send" 5 !seen;
   (* jsonl ~sends:false suppresses Send lines but keeps the rest. *)
   with_temp_file (fun path ->
       let oc = open_out path in
