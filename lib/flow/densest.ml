@@ -32,37 +32,52 @@ let validate ?weights ?bonuses ~n ~edges () =
         invalid_arg "Densest: bad edge")
     edges
 
-(* Source side of the min cut of Goldberg's network at guess [g];
-   returns the subset (possibly empty) and whether the cut is strictly
-   below the trivial cut, i.e. whether a subset of density > g
-   exists. *)
-let probe ~n ~edges ~deg ~weight ~bonus ~big g =
-  let s = n and t = n + 1 in
+let solver_calls = ref 0
+let probes = ref 0
+
+(* Goldberg's network for the instance, with source [n] and sink
+   [n + 1]: for each node [v] the edges s->v (number [2v]) and v->t
+   (number [2v + 1]), then both directions of every edge in [edges]
+   order. Built once per oracle call; each probe resets it and writes
+   only the sink capacities, which carry the guess. *)
+let goldberg_network ~n ~edges ~big =
   let net = Maxflow.create (n + 2) in
   for v = 0 to n - 1 do
-    Maxflow.add_edge net ~src:s ~dst:v ~cap:big;
-    Maxflow.add_edge net ~src:v ~dst:t
-      ~cap:(big +. (2.0 *. g *. weight v) -. deg.(v) -. (2.0 *. bonus v))
+    Maxflow.add_edge net ~src:n ~dst:v ~cap:big;
+    Maxflow.add_edge net ~src:v ~dst:(n + 1) ~cap:big
   done;
   List.iter
     (fun (u, v) ->
       Maxflow.add_edge net ~src:u ~dst:v ~cap:1.0;
       Maxflow.add_edge net ~src:v ~dst:u ~cap:1.0)
     edges;
-  let flow = Maxflow.max_flow net ~s ~t in
+  net
+
+(* Source side of the min cut of Goldberg's network at guess [g];
+   returns the subset (possibly empty) and whether the cut is strictly
+   below the trivial cut, i.e. whether a subset of density > g
+   exists. *)
+let probe net ~weights ~bonuses ~n ~deg ~big g =
+  incr probes;
+  Maxflow.reset net;
+  for v = 0 to n - 1 do
+    let w = match weights with None -> 1.0 | Some w -> w.(v) in
+    let b = match bonuses with None -> 0.0 | Some b -> b.(v) in
+    Maxflow.set_cap net ((2 * v) + 1)
+      (big +. (2.0 *. g *. w) -. deg.(v) -. (2.0 *. b))
+  done;
+  let flow = Maxflow.max_flow net ~s:n ~t:(n + 1) in
   let trivial = big *. float_of_int n in
   let feasible = flow < trivial -. 1e-6 in
   if not feasible then ([], false)
   else begin
-    let side = Maxflow.min_cut_side net ~s in
+    let side = Maxflow.min_cut_side net ~s:n in
     let subset = ref [] in
     for v = n - 1 downto 0 do
       if side.(v) then subset := v :: !subset
     done;
     (!subset, true)
   end
-
-let solver_calls = ref 0
 
 (* ------------------------------------------------------------------ *)
 (* Exhaustive bitmask search for tiny instances.
@@ -193,6 +208,7 @@ let densest_subset ?weights ?bonuses ~n ~edges () =
         | Some b -> Array.fold_left max 0.0 b
       in
       let big = (2.0 *. float_of_int m) +. (2.0 *. max_bonus) +. 1.0 in
+      let net = goldberg_network ~n ~edges ~big in
       (* The incumbent's exact density is a certified lower bound, so
          the search can start there instead of at zero. *)
       let lo = ref (Float.max 0.0 !best_density) in
@@ -220,7 +236,7 @@ let densest_subset ?weights ?bonuses ~n ~edges () =
       while !hi -. !lo > granularity && !iterations < 200 do
         incr iterations;
         let g = (!lo +. !hi) /. 2.0 in
-        match probe ~n ~edges ~deg ~weight ~bonus ~big g with
+        match probe net ~weights ~bonuses ~n ~deg ~big g with
         | subset, true when subset <> [] ->
             let d = exact subset in
             if d > !best_density then begin

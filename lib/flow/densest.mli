@@ -14,12 +14,31 @@
     to a set [H] of uncovered edges is exactly the densest subgraph of
     the graph whose nodes are [v]'s neighbors and whose edges are the
     edges of [H] joining two neighbors (each chosen neighbor
-    contributes its star edge, each induced [H]-edge is 2-spanned). *)
+    contributes its star edge, each induced [H]-edge is 2-spanned).
+
+    Instances with at most 12 nodes and no duplicate edge are solved by
+    exhaustive subset enumeration. Larger ones bisect on the density
+    guess [g], probing Goldberg's network once per step. The network
+    ({!Maxflow}) is built once per call: node [v]'s arcs s->v and v->t
+    come first, then both directions of each edge in [edges] order.
+    Each probe resets its capacities and rewrites only the [n] sink
+    capacities, which are the ones that depend on [g]. Everything the
+    search computes from (arc order, Dinic's visiting order, the
+    bisection, the feasibility test, the exact density of each witness)
+    is what a network built afresh per probe gives, so the answers are
+    bit-identical to that construction. The network is local to the
+    call: the oracle runs on pool domains under [Engine.run ~par] and
+    shares no mutable scratch between calls. *)
 
 val solver_calls : int ref
 (** Cumulative count of {!densest_subset} invocations in this process.
     Cheap instrumentation for the bench harness ([bench/main.exe
     --json] reports it per workload); not meaningful across threads. *)
+
+val probes : int ref
+(** Cumulative count of parametric max-flow probes (one per bisection
+    step of the flow path; the exhaustive small-[n] path makes none).
+    Same caveat as {!solver_calls}: exact only for sequential runs. *)
 
 val densest_subset :
   ?weights:float array ->

@@ -13,8 +13,12 @@ let other (u, v) w =
 
 let mem_endpoint (u, v) w = w = u || w = v
 
-let compare (a : t) (b : t) = Stdlib.compare a b
-let equal (a : t) (b : t) = a = b
+(* Lexicographic on the int pair, the order [Stdlib.compare] gives,
+   without its polymorphic C call. *)
+let compare ((u, v) : t) ((u', v') : t) =
+  if u <> u' then Int.compare u u' else Int.compare v v'
+
+let equal ((u, v) : t) ((u', v') : t) = u = u' && v = v'
 let hash ((u, v) : t) = (u * 1000003) lxor v
 let pp ppf (u, v) = Format.fprintf ppf "{%d,%d}" u v
 
@@ -37,8 +41,8 @@ module Directed = struct
   let src (u, _) = u
   let dst (_, v) = v
   let rev (u, v) = (v, u)
-  let compare (a : t) (b : t) = Stdlib.compare a b
-  let equal (a : t) (b : t) = a = b
+  let compare = compare
+  let equal = equal
   let pp ppf (u, v) = Format.fprintf ppf "(%d->%d)" u v
 
   module Ord = struct

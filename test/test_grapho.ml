@@ -66,6 +66,37 @@ let test_directed_edge () =
   check_int "dst" 1 (Edge.Directed.dst e);
   check "rev" true (Edge.Directed.equal (1, 4) (Edge.Directed.rev e))
 
+(* [Edge.compare] is a hand-written int-pair comparison; it must order
+   edges exactly as the polymorphic [Stdlib.compare] on the pairs does,
+   so every [Edge.Set]/[Edge.Map] iterates in the same order. *)
+let test_edge_compare_matches_stdlib () =
+  let rng = Rng.create 11 in
+  let sign x = Int.compare x 0 in
+  let draw () =
+    (* Mix small ids (many ties on the first endpoint) with large ones. *)
+    if Rng.int rng 4 = 0 then Rng.int rng 1_000_000_000 else Rng.int rng 6
+  in
+  let rec edge () =
+    let u = draw () and v = draw () in
+    if u = v then edge () else Edge.make u v
+  in
+  let pairs = List.init 2000 (fun _ -> (edge (), edge ())) in
+  List.iter
+    (fun (a, b) ->
+      let pa = Edge.endpoints a and pb = Edge.endpoints b in
+      check_int "undirected sign" (sign (Stdlib.compare pa pb))
+        (sign (Edge.compare a b));
+      check "undirected equal" (pa = pb) (Edge.equal a b);
+      check_int "directed sign" (sign (Stdlib.compare pa pb))
+        (sign (Edge.Directed.compare pa pb));
+      check "directed equal" (pa = pb) (Edge.Directed.equal pa pb))
+    pairs;
+  let edges = List.map fst pairs in
+  Alcotest.(check (list (pair int int)))
+    "Set.elements order"
+    (List.sort_uniq Stdlib.compare (List.map Edge.endpoints edges))
+    (List.map Edge.endpoints (Edge.Set.elements (Edge.Set.of_list edges)))
+
 (* ------------------------------------------------------------------ *)
 (* Ugraph *)
 
@@ -403,6 +434,8 @@ let () =
           Alcotest.test_case "self loop" `Quick test_edge_self_loop;
           Alcotest.test_case "other" `Quick test_edge_other;
           Alcotest.test_case "directed" `Quick test_directed_edge;
+          Alcotest.test_case "compare = Stdlib.compare" `Quick
+            test_edge_compare_matches_stdlib;
         ] );
       ( "ugraph",
         [

@@ -229,6 +229,34 @@ let prop_congest_equals_engine =
       Edge.Set.equal a.spanner c.spanner
       && c.metrics.congest_violations = 0)
 
+(* Golden pin of the oracle-heavy bootstrap: the LOCAL 2-spanner of a
+   400-vertex clique ladder (the repo benchmark's bootstrap_ladder at
+   seed 1). Any change to the densest-star oracle must leave the
+   spanner, the paper's costs and the oracle's own work (calls and
+   parametric probes) exactly as they are. *)
+let test_ladder400_golden () =
+  let g = Generators.clique_ladder (Rng.create 1) 400 in
+  let calls0 = !Netflow.Densest.solver_calls in
+  let probes0 = !Netflow.Densest.probes in
+  let r = C.Two_spanner_local.run ~seed:1 g in
+  let calls = !Netflow.Densest.solver_calls - calls0 in
+  let probes = !Netflow.Densest.probes - probes0 in
+  let buf = Buffer.create 16384 in
+  Edge.Set.iter
+    (fun e ->
+      let u, v = Edge.endpoints e in
+      Buffer.add_string buf (Printf.sprintf "%d-%d\n" u v))
+    r.spanner;
+  let digest = Digest.to_hex (Digest.string (Buffer.contents buf)) in
+  check_int "spanner size" 1516 (Edge.Set.cardinal r.spanner);
+  check_int "rounds" 60 r.metrics.rounds;
+  check_int "messages" 388509 r.metrics.messages;
+  check_int "total_bits" 29384379 r.metrics.total_bits;
+  Alcotest.(check string) "spanner digest"
+    "52ba7b0b63c7b5268946e072cfeb0a97" digest;
+  check_int "oracle calls" 928 calls;
+  check_int "oracle probes" 11759 probes
+
 let base_suites =
     [
       ( "two_spanner_local",
@@ -249,6 +277,7 @@ let base_suites =
           Alcotest.test_case "weighted protocol" `Quick
             test_weighted_protocol_equal;
           QCheck_alcotest.to_alcotest prop_weighted_protocol_equal;
+          Alcotest.test_case "ladder400 golden" `Quick test_ladder400_golden;
         ] );
       ( "augmentation",
         [
